@@ -31,7 +31,6 @@ class UsageExit(Exception):
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="halflearn", description="Tester-learners for noisy halfspaces.")
-    p.add_argument("--threads", type=int, default=1, help="cap on internal worker threads")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a synthetic dataset")
@@ -197,7 +196,7 @@ def _cmd_gen(args) -> int:
             _write_json(args.planted_out, {"coords": planted_coords})
 
     datagen.write_dataset_csv(ds, args.out)
-    config = {k: v for k, v in vars(args).items() if k not in ("command", "threads")}
+    config = {k: v for k, v in vars(args).items() if k != "command"}
     config["planted_coords"] = planted_coords
     _manifest(args.out, "gen", config, args.seed, start)
     return EXIT_OK
@@ -234,7 +233,7 @@ def _cmd_test(args) -> int:
             raise UsageExit("t4 requires --w and --theta")
         report = testers.strip_tester(ds, _read_vector(args.w, ds.d), args.theta, cfg)
     _write_json(args.out, report.to_json_dict())
-    config = {k: v for k, v in vars(args).items() if k not in ("command", "threads")}
+    config = {k: v for k, v in vars(args).items() if k != "command"}
     _manifest(args.out, "test", config, args.seed, start)
     return EXIT_OK if report.accepted else EXIT_REJECT
 
@@ -272,7 +271,7 @@ def _cmd_learn(args) -> int:
         )
         result = pipeline.learn_agnostic(train, holdout, acfg, target)
     _write_json(args.out, result.to_json_dict())
-    config = {k: v for k, v in vars(args).items() if k not in ("command", "threads")}
+    config = {k: v for k, v in vars(args).items() if k != "command"}
     _manifest(args.out, "learn", config, args.seed, start)
     return EXIT_REJECT if result.rejected else EXIT_OK
 
@@ -306,12 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageExit as exc:
         print(f"halflearn: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # Keep BLAS reductions single-threaded so results do not depend on the cap.
+    # Keep BLAS reductions single-threaded so results do not depend on the core count.
     os.environ.setdefault("OMP_NUM_THREADS", "1")
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    if args.threads < 1:
-        print("halflearn: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         if args.command == "gen":
             return _cmd_gen(args)

@@ -8,7 +8,6 @@ to be an approximate stationary point of the surrogate loss.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,21 +48,6 @@ class CandidateList:
     def __post_init__(self) -> None:
         if len(self.candidates) != len(self.grad_norms) or len(self.candidates) < 1:
             raise ValueError("candidates and grad_norms must have equal length >= 1")
-
-
-def recommended_config(d: int, sigma: float, grad_target: float, seed: RngSeed) -> PsgdConfig:
-    """Conservative defaults: step respects the O(1/sigma^2) smoothness of the
-    ramp and the iteration budget is a worst-case bound (early stopping is
-    expected to end the run long before it is exhausted)."""
-    max_iters = math.ceil(40.0 * d / (grad_target**2 * sigma**2))
-    return PsgdConfig(
-        step_size=sigma**2 / 4.0,
-        batch_size=64,
-        max_iters=max_iters,
-        grad_target=grad_target,
-        record_every=math.ceil(max_iters / 200),
-        seed=seed,
-    )
 
 
 def initial_direction(d: int, seed: RngSeed) -> UnitVector:

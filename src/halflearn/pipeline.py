@@ -217,6 +217,36 @@ def _vet_orientation(
     return True
 
 
+def _vet_pairs(
+    train: LabeledDataset,
+    cands: list[UnitVector],
+    sigma: float,
+    tau: float,
+    tcfg: TesterConfig,
+    target: TargetMarginal,
+    theta: float | None,
+    strict_reject: bool,
+    reports: list[TesterReport],
+) -> tuple[list[UnitVector] | None, int]:
+    """Vet every candidate and then its negation; a pair survives only when
+    both orientations pass.  Returns the survivors (each candidate followed
+    by its negation) and the number of orientations examined; survivors is
+    None when a pair fails under strict_reject."""
+    survivors: list[UnitVector] = []
+    examined = 0
+    for w in cands:
+        pair = (w, w.negated())
+        for orient in pair:
+            examined += 1
+            if not _vet_orientation(train, orient, sigma, tau, tcfg, target, theta, reports):
+                if strict_reject:
+                    return None, examined
+                break
+        else:
+            survivors.extend(pair)
+    return survivors, examined
+
+
 def learn_massart(
     S_train: LabeledDataset,
     S_holdout: LabeledDataset,
@@ -244,20 +274,9 @@ def learn_massart(
     cands = _unique_candidates(psgd_candidates(S_train, SurrogateParams(sigma), pcfg))
 
     tcfg = scaled_tester_config(cfg.tester_cfg, cfg.per_candidate_inflation, 1.0 / (8.0 * len(cands)))
-    pool: list[UnitVector] = []
-    examined = 0
-    for w in cands:
-        pair_ok = True
-        for orient in (w, w.negated()):
-            examined += 1
-            if not _vet_orientation(S_train, orient, sigma, cfg.c2, tcfg, target, None, reports):
-                pair_ok = False
-                break
-        if not pair_ok:
-            if cfg.strict_reject:
-                return LearnResult(True, sigma, examined, tuple(reports))
-            continue
-        pool.extend([w, w.negated()])
+    pool, examined = _vet_pairs(S_train, cands, sigma, cfg.c2, tcfg, target, None, cfg.strict_reject, reports)
+    if pool is None:
+        return LearnResult(True, sigma, examined, tuple(reports))
     if not pool:
         raise EmptyCandidateListError("every candidate pair was dropped")
     best, err = select_best_candidate(S_holdout, pool)
@@ -315,18 +334,11 @@ def learn_agnostic(
             cfg.tester_cfg, cfg.per_candidate_inflation, 1.0 / (8.0 * len(cands) * len(grid))
         )
         theta = min(cfg.c4 * sigma, math.pi / 4.0) if cfg.mode == "gaussian" else None
-        for w in cands:
-            pair_ok = True
-            for orient in (w, w.negated()):
-                examined += 1
-                if not _vet_orientation(S_train, orient, sigma, cfg.c2, tcfg, target, theta, reports):
-                    pair_ok = False
-                    break
-            if not pair_ok:
-                if cfg.strict_reject:
-                    return LearnResult(True, sigma, examined, tuple(reports))
-                continue
-            pool.extend([(w, sigma), (w.negated(), sigma)])
+        survivors, vetted = _vet_pairs(S_train, cands, sigma, cfg.c2, tcfg, target, theta, cfg.strict_reject, reports)
+        examined += vetted
+        if survivors is None:
+            return LearnResult(True, sigma, examined, tuple(reports))
+        pool.extend((w, sigma) for w in survivors)
     if not pool:
         raise EmptyCandidateListError("every candidate pair was dropped")
 

@@ -19,6 +19,7 @@ size, computed by a seeded Monte-Carlo oracle and cached.
 
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import dataclass, replace
@@ -276,70 +277,47 @@ def _monomial_means_direct(X: np.ndarray, alphas: list[tuple[int, ...]]) -> np.n
     return out
 
 
-def _low_degree_tuples(d: int, kmax: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for deg in range(kmax + 1):
-        out.extend(exponent_tuples(d, deg))
-    return out
+@functools.cache
+def _gram_plan(alphas: tuple[tuple[int, ...], ...]) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """Half-degree basis and gather indices (i1, i2) with x^alpha = basis[i1]
+    * basis[i2] for each alpha.  The first half takes deg(alpha)//2 units of
+    alpha greedily from the first coordinate on.  The basis holds only the
+    halves the alphas need, ordered by degree and then in ``exponent_tuples``
+    (descending lexicographic) order.  One entry per alphas tuple a run uses."""
+    splits = []
+    for a in alphas:
+        need = sum(a) // 2
+        g1 = []
+        for e in a:
+            g1.append(min(e, need))
+            need -= g1[-1]
+        splits.append((tuple(g1), tuple(e - g for e, g in zip(a, g1))))
+    needed = {g for pair in splits for g in pair}
+    basis = sorted(needed, key=lambda g: (sum(g), tuple(-e for e in g)))
+    col = {g: j for j, g in enumerate(basis)}
+    i1 = np.array([col[g1] for g1, _ in splits], dtype=np.intp)
+    i2 = np.array([col[g2] for _, g2 in splits], dtype=np.intp)
+    return basis, i1, i2
 
 
 def _monomial_means(X: np.ndarray, alphas: list[tuple[int, ...]]) -> np.ndarray:
     """Mean of x^alpha per alpha.
 
-    For degrees up to ~6 it is cheaper to form one Gram matrix of all
-    monomials of half the maximal degree (a BLAS product) and read every
-    requested moment out of it; higher degrees fall back to power tables.
+    Up to degree 6 every moment is read off one Gram matrix of half-degree
+    monomials (a BLAS product).  Higher degrees use power tables, the only
+    path whose memory stays bounded at large d.
     """
-    n, d = X.shape
-    kmax = max(sum(a) for a in alphas)
-    half = (kmax + 1) // 2
-    n_half = sum(count_multi_indices(d, deg) for deg in range(half + 1))
-    if kmax > 6 or n_half > 4 * len(alphas) + 64:
+    if max(sum(a) for a in alphas) > 6:
         return _monomial_means_direct(X, alphas)
-    half_alphas = _low_degree_tuples(d, half)
-    V = np.ones((n, len(half_alphas)))
-    for j, a in enumerate(half_alphas):
-        for i, e in enumerate(a):
+    basis, i1, i2 = _gram_plan(tuple(alphas))
+    n = X.shape[0]
+    V = np.ones((n, len(basis)))
+    for j, g in enumerate(basis):
+        for i, e in enumerate(g):
             if e:
                 V[:, j] *= X[:, i] ** e
     G = V.T @ V / n
-    idx = {a: j for j, a in enumerate(half_alphas)}
-    out = np.empty(len(alphas))
-    for j, a in enumerate(alphas):
-        g1, g2 = _half_split(a, sum(a) // 2)
-        out[j] = G[idx[g1], idx[g2]]
-    return out
-
-
-def _half_split(alpha: tuple[int, ...], half: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    g1 = [0] * len(alpha)
-    need = half
-    for i, e in enumerate(alpha):
-        t = min(e, need)
-        g1[i] = t
-        need -= t
-        if need == 0:
-            break
-    g2 = tuple(e - g for e, g in zip(alpha, g1))
-    return tuple(g1), g2
-
-
-def _even_degree_means(X: np.ndarray, k: int, alphas: list[tuple[int, ...]]) -> np.ndarray:
-    """All degree-k moment means via a Gram matrix of degree-k/2 monomials."""
-    n, d = X.shape
-    half_alphas = list(exponent_tuples(d, k // 2))
-    V = np.ones((n, len(half_alphas)))
-    for j, a in enumerate(half_alphas):
-        for i, e in enumerate(a):
-            if e:
-                V[:, j] *= X[:, i] ** e
-    G = V.T @ V / n
-    idx = {a: j for j, a in enumerate(half_alphas)}
-    out = np.empty(len(alphas))
-    for j, a in enumerate(alphas):
-        g1, g2 = _half_split(a, k // 2)
-        out[j] = G[idx[g1], idx[g2]]
-    return out
+    return G[i1, i2]
 
 
 def truncated_normal_even_moment(j: int, sigma: float) -> float:
@@ -410,7 +388,7 @@ def _global_null_quantiles(
         devs = np.empty((R, N))
         for r in range(R):
             X = target.sample(n, d, rng)
-            devs[r] = np.abs(_even_degree_means(X, k, alphas) - tgt)
+            devs[r] = np.abs(_monomial_means(X, alphas) - tgt)
         _ORACLE_CACHE[key] = _order_statistic(devs, cfg.delta, N)
     return _ORACLE_CACHE[key]
 
@@ -472,7 +450,7 @@ def moment_tester(S: LabeledDataset, k: int, cfg: TesterConfig, target: TargetMa
     if count_multi_indices(d, k) > cfg.max_indices:
         raise SizeLimitError(f"degree-{k} moment enumeration exceeds cap in dimension {d}")
     alphas = list(exponent_tuples(d, k))
-    emp = _even_degree_means(S.points, k, alphas)
+    emp = _monomial_means(S.points, alphas)
     tgt = np.array([target.moment(MultiIndex(a)) for a in alphas])
     dev = np.abs(emp - tgt)
     if cfg.slack_mode == "theory":
@@ -690,34 +668,8 @@ def strip_tester(S: LabeledDataset, w: UnitVector, theta: float, cfg: TesterConf
 # Operator norm and the angle-to-error bound
 
 
-def _opnorm_by_squaring(A2: np.ndarray, squarings: int = 32) -> float:
-    """sqrt of the largest eigenvalue of the PSD matrix A2 via normalized
-    repeated squaring.
-
-    ||A2^(2^s)||_F brackets lam_max^(2^s) within a factor sqrt(n), so the
-    log-scale estimate converges deterministically at rate ln(n)/2^s with no
-    eigengap dependence; used when vector iteration stalls on a near-tie of
-    the top two |eigenvalues|."""
-    nrm = float(np.linalg.norm(A2))
-    if nrm == 0.0:
-        return 0.0
-    log_acc = math.log(nrm)
-    B = A2 / nrm
-    for _ in range(squarings):
-        B = B @ B
-        nb = float(np.linalg.norm(B))
-        log_acc = 2.0 * log_acc + math.log(nb)
-        B = B / nb
-    half_width = 0.5 * math.log(A2.shape[0]) / 2.0**squarings
-    lam_log = log_acc / 2.0**squarings - half_width
-    return math.exp(lam_log / 2.0)
-
-
-def operator_norm_symmetric(M: np.ndarray, tol: float = 1e-8, max_iters: int = 10_000) -> float:
-    """Largest |eigenvalue| of a symmetric matrix by power iteration on M^2,
-    with a repeated-squaring fallback when the top two |eigenvalues| nearly
-    tie (vector iteration then mixes arbitrarily slowly, but the returned
-    value is still within tolerance because the tied eigenvalues agree)."""
+def operator_norm_symmetric(M: np.ndarray) -> float:
+    """Largest |eigenvalue| of a symmetric matrix, by a dense eigen-solver."""
     A = np.asarray(M, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSymmetricError("matrix must be square")
@@ -725,31 +677,7 @@ def operator_norm_symmetric(M: np.ndarray, tol: float = 1e-8, max_iters: int = 1
         raise ValueError("matrix entries must be finite")
     if float(np.max(np.abs(A - A.T))) > 1e-9:
         raise NotSymmetricError("matrix is not symmetric within 1e-9")
-    nn = A.shape[0]
-    if float(np.max(np.abs(A))) == 0.0:
-        return 0.0
-    A2 = A @ A
-    # fixed-seed random start: a deterministic ray like (1, 1/2, ...) can land
-    # exactly on a subdominant eigenvector of small integer matrices
-    v = np.random.Generator(np.random.Philox(0x9E3779B9)).standard_normal(nn)
-    v /= np.linalg.norm(v)
-    prev = -1.0
-    budget = min(max_iters, 600)
-    for _ in range(budget):
-        u = A2 @ v
-        norm_u = float(np.linalg.norm(u))
-        if norm_u == 0.0:
-            # v lies in the kernel of A^2; restart against the residual space
-            v = np.roll(v, 1)
-            continue
-        est = math.sqrt(float(v @ u))
-        v = u / norm_u
-        # the per-step change undershoots the remaining error when the
-        # eigengap is small, so stop two digits below the advertised tolerance
-        if abs(est - prev) <= 0.01 * tol * max(est, 1e-300):
-            return est
-        prev = est
-    return _opnorm_by_squaring(A2)
+    return float(np.max(np.abs(np.linalg.eigvalsh(A))))
 
 
 def angle_to_error_bound(theta: float, k: int, c1: float, c3: float) -> tuple[float, float]:

@@ -11,7 +11,6 @@ from halflearn.optimizer import (
     full_gradient_norm,
     initial_direction,
     psgd_candidates,
-    recommended_config,
 )
 from halflearn.surrogate import SurrogateParams
 
@@ -115,11 +114,3 @@ def test_error_conditions():
         psgd_candidates(S, SurrogateParams(0.5), _cfg(batch_size=1000))
     with pytest.raises(ValueError):
         _cfg(max_iters=5, record_every=10)
-
-
-def test_recommended_config_shape():
-    cfg = recommended_config(4, 0.2, 0.02, RngSeed(1))
-    assert cfg.step_size == pytest.approx(0.01)
-    assert cfg.batch_size == 64
-    assert cfg.max_iters == math.ceil(40 * 4 / (0.02**2 * 0.2**2))
-    assert cfg.record_every == math.ceil(cfg.max_iters / 200)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from halflearn.core import LabeledDataset, MultiIndex, RngSeed, project_to_sphere
+from halflearn.core import LabeledDataset, MultiIndex, RngSeed, exponent_tuples, project_to_sphere
 from halflearn.datagen import MarginalSpec, sample_marginal
 from halflearn.errors import (
     InsufficientBandSamplesError,
@@ -30,6 +30,7 @@ from halflearn.testers import (
     standard_gaussian_target,
     strip_tester,
     tilted_gaussian_target,
+    _monomial_means,
     truncated_normal_even_moment,
 )
 
@@ -76,6 +77,15 @@ def test_rotation_maps_direction_to_first_axis():
         H = rotation_to_first_axis(w)
         assert np.allclose(H @ w.coords, [1, 0, 0, 0, 0], atol=1e-12)
         assert np.allclose(H @ H.T, np.eye(5), atol=1e-12)
+
+
+@pytest.mark.parametrize("degrees", [(4,), (1, 2, 3, 4), (2, 5, 8)], ids=["t1", "t3", "power_table"])
+def test_monomial_means_against_brute_force(degrees):
+    # positive coordinates: no cancellation, so a relative tolerance is sound
+    X = np.random.default_rng(105).uniform(0.5, 1.5, (500, 3))
+    alphas = [a for k in degrees for a in exponent_tuples(3, k)]
+    brute = [np.mean(np.prod(X ** np.array(a), axis=1)) for a in alphas]
+    assert _monomial_means(X, alphas) == pytest.approx(brute, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +360,15 @@ def test_operator_norm_exhaustive_small_integer_matrices():
 
 
 def test_operator_norm_not_symmetric():
-    with pytest.raises(NotSymmetricError):
-        operator_norm_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for M, error in (
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), NotSymmetricError),
+        (np.ones((2, 3)), NotSymmetricError),
+        (np.ones(3), NotSymmetricError),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), ValueError),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), ValueError),
+    ):
+        with pytest.raises(error):
+            operator_norm_symmetric(M)
 
 
 # ---------------------------------------------------------------------------

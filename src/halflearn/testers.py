@@ -13,8 +13,11 @@ Four testers are exposed (CLI names t1..t4):
 Thresholds come in two regimes.  ``theory`` mode uses the asymptotic additive
 slacks (astronomically strict at desk-scale n; retained for contract tests).
 ``calibrated`` mode (default) replaces each threshold with an inflated
-empirical quantile of the same statistic under the target at the same sample
-size, computed by a seeded Monte-Carlo oracle and cached.
+quantile of the same statistic under the target at the same sample size,
+computed by a seeded oracle and cached.  From ``_CLT_MIN`` rows on, the t1
+oracle and the Gaussian t3 oracle draw each deviation from its CLT limit,
+whose variance M(2 alpha) - M(alpha)^2 is exact; smaller samples and custom
+in-band targets are calibrated by resampling rows.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import gammainc, ndtri
 
 from .core import (
     MULTI_INDEX_CAP,
@@ -66,6 +69,13 @@ def _min_strip_count(d: int) -> int:
 # Gaussian there); small ones are cheap enough to keep the full count.
 _CALIBRATION_BUDGET = 600_000_000
 _MIN_REPS = 200
+
+# From this many rows on (n for t1, the in-band count bucket for t3) the t1
+# oracle and the Gaussian t3 oracle draw null deviations from their CLT limit
+# with exact variances; below it the skew of high-degree monomial means still
+# matters, so rows are sampled.  tests/test_testers.py pins the value against
+# the sampled thresholds.
+_CLT_MIN = 2000
 
 _ORACLE_CACHE: dict[tuple, np.ndarray] = {}
 
@@ -321,15 +331,30 @@ def _monomial_means(X: np.ndarray, alphas: list[tuple[int, ...]]) -> np.ndarray:
 
 
 def truncated_normal_even_moment(j: int, sigma: float) -> float:
-    """E[u^j] for u ~ N(0,1) conditioned on |u| <= sigma (0 for odd j)."""
+    """E[u^j] for u ~ N(0,1) conditioned on |u| <= sigma (0 for odd j).
+
+    Closed form 2^{j/2} Gamma((j+1)/2) P((j+1)/2, sigma^2/2) / (sqrt(pi)
+    erf(sigma/sqrt(2))) with P the regularized lower incomplete gamma; it keeps
+    full relative accuracy at small sigma, where the integration-by-parts
+    recursion cancels catastrophically.
+    """
     if j % 2 == 1:
         return 0.0
-    phi = math.exp(-0.5 * sigma * sigma) / math.sqrt(2.0 * math.pi)
-    mass = math.erf(sigma / math.sqrt(2.0))
-    vals = {0: mass}
-    for jj in range(2, j + 1, 2):
-        vals[jj] = (jj - 1) * vals[jj - 2] - 2.0 * sigma ** (jj - 1) * phi
-    return vals[j] / mass
+    if j == 0:
+        return 1.0
+    a = 0.5 * (j + 1)
+    return (
+        2.0 ** (0.5 * j)
+        * math.gamma(a)
+        * float(gammainc(a, 0.5 * sigma * sigma))
+        / (math.sqrt(math.pi) * math.erf(sigma / math.sqrt(2.0)))
+    )
+
+
+def _band_gaussian_moment(alpha: tuple[int, ...], sigma: float) -> float:
+    """E[x^alpha] for N(0, I) conditioned on |x_1| <= sigma: a truncated
+    normal first coordinate times independent standard normals."""
+    return truncated_normal_even_moment(alpha[0], sigma) * gaussian_moment(MultiIndex(alpha[1:] or (0,)))
 
 
 def rotation_to_first_axis(w: UnitVector) -> np.ndarray:
@@ -374,6 +399,20 @@ def _label_tag(label: str) -> int:
     return zlib.crc32(label.encode("utf-8"))
 
 
+def _null_variance(moment: Callable[[tuple[int, ...]], float], alphas: list[tuple[int, ...]]) -> np.ndarray:
+    """Var x^alpha = M(2 alpha) - M(alpha)^2 per alpha, M the null law's moments."""
+    first = np.array([moment(a) for a in alphas])
+    second = np.array([moment(tuple(2 * e for e in a)) for a in alphas])
+    return second - first**2
+
+
+def _clt_devs(var: np.ndarray, m: int, R: int, rng: np.random.Generator) -> np.ndarray:
+    """R replicates of |deviation| of each monomial mean over m rows, drawn
+    from its CLT limit N(0, var/m).  _order_statistic sorts each column on its
+    own, so only the marginal laws matter and no covariance is needed."""
+    return np.abs(rng.standard_normal((R, len(var)))) * np.sqrt(var / m)
+
+
 def _global_null_quantiles(
     target: TargetMarginal, d: int, k: int, n: int, alphas: list[tuple[int, ...]], cfg: TesterConfig
 ) -> np.ndarray:
@@ -383,12 +422,15 @@ def _global_null_quantiles(
     R = _effective_reps(cfg, n * N)
     key = ("t1", target.label, d, k, n, cfg.delta, R, cfg.calibration_seed.seed)
     if key not in _ORACLE_CACHE:
-        tgt = np.array([target.moment(MultiIndex(a)) for a in alphas])
         rng = cfg.calibration_seed.generator(1, _label_tag(target.label), d, k, n, R)
-        devs = np.empty((R, N))
-        for r in range(R):
-            X = target.sample(n, d, rng)
-            devs[r] = np.abs(_monomial_means(X, alphas) - tgt)
+        if n >= _CLT_MIN:
+            devs = _clt_devs(_null_variance(lambda a: target.moment(MultiIndex(a)), alphas), n, R, rng)
+        else:
+            tgt = np.array([target.moment(MultiIndex(a)) for a in alphas])
+            devs = np.empty((R, N))
+            for r in range(R):
+                X = target.sample(n, d, rng)
+                devs[r] = np.abs(_monomial_means(X, alphas) - tgt)
         _ORACLE_CACHE[key] = _order_statistic(devs, cfg.delta, N)
     return _ORACLE_CACHE[key]
 
@@ -407,10 +449,14 @@ def _band_null_quantiles_gaussian(
     if key not in _ORACLE_CACHE:
         sigma_bits = int(np.float64(sigma).view(np.uint64))
         rng = cfg.calibration_seed.generator(3, d, N, sigma_bits, m_bucket, R)
-        devs = np.empty((R, N))
-        for r in range(R):
-            Xr = _sample_gaussian_band_rotated(m_bucket, d, sigma, rng)
-            devs[r] = np.abs(_monomial_means(Xr, alphas) - targets)
+        if m_bucket >= _CLT_MIN:
+            var = _null_variance(lambda a: _band_gaussian_moment(a, sigma), alphas)
+            devs = _clt_devs(var, m_bucket, R, rng)
+        else:
+            devs = np.empty((R, N))
+            for r in range(R):
+                Xr = _sample_gaussian_band_rotated(m_bucket, d, sigma, rng)
+                devs[r] = np.abs(_monomial_means(Xr, alphas) - targets)
         _ORACLE_CACHE[key] = _order_statistic(devs, cfg.delta, N)
     return _ORACLE_CACHE[key]
 
@@ -549,9 +595,7 @@ def band_moment_tester(
     emp = _monomial_means(Xb, alphas)
 
     if target.kind == "standard_gaussian":
-        tgt = np.array(
-            [truncated_normal_even_moment(a[0], sigma) * gaussian_moment(MultiIndex(a[1:] or (0,))) for a in alphas]
-        )
+        tgt = np.array([_band_gaussian_moment(a, sigma) for a in alphas])
         if cfg.slack_mode == "theory":
             thr = np.full(len(alphas), tau * float(d) ** (-2 * k_eff))
         else:

@@ -1,9 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from halflearn.core import LabeledDataset, RngSeed, UnitVector, project_to_sphere
-from halflearn.datagen import MarginalSpec, NoiseSpec, apply_noise, sample_marginal
-from halflearn.surrogate import SurrogateParams, empirical_surrogate_loss
+# One BLAS/OpenMP thread, set before numpy loads, so results and timings do
+# not depend on the machine's core count.  An explicit setting wins.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from halflearn.core import LabeledDataset, RngSeed, UnitVector, project_to_sphere  # noqa: E402
+from halflearn.datagen import MarginalSpec, NoiseSpec, apply_noise, sample_marginal  # noqa: E402
+from halflearn.surrogate import SurrogateParams, empirical_surrogate_loss  # noqa: E402
 
 
 @pytest.fixture(scope="session")

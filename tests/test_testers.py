@@ -1,11 +1,14 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from halflearn.core import LabeledDataset, MultiIndex, RngSeed, exponent_tuples, project_to_sphere
+from halflearn import testers
 from halflearn.datagen import MarginalSpec, sample_marginal
 from halflearn.errors import (
     InsufficientBandSamplesError,
@@ -60,13 +63,15 @@ def test_gaussian_moment_monte_carlo_cross_check():
 
 
 def test_truncated_normal_moments_against_quadrature():
-    for sigma in (0.1, 0.5, 1.0):
-        mass = 2 * quad(lambda u: math.exp(-u * u / 2) / math.sqrt(2 * math.pi), 0, sigma)[0]
-        for j in (2, 4, 6):
-            oracle = (
-                2 * quad(lambda u: u**j * math.exp(-u * u / 2) / math.sqrt(2 * math.pi), 0, sigma)[0] / mass
-            )
-            assert truncated_normal_even_moment(j, sigma) == pytest.approx(oracle, rel=1e-9)
+    # in u = sigma*s the ratio is sigma^j int s^j e^{-(sigma s)^2/2} / int e^{-(sigma s)^2/2}
+    # over [0, 1]: both integrands are O(1), so quadrature keeps full relative
+    # accuracy even at the Massart band widths (sigma/6 ~ 0.001)
+    for sigma in (0.001, 0.01, 0.0417, 0.1, 0.5, 1.0):
+        mass = quad(lambda s: math.exp(-0.5 * (sigma * s) ** 2), 0, 1, epsabs=0, epsrel=1e-13)[0]
+        for j in (2, 4, 6, 8):
+            num = quad(lambda s: s**j * math.exp(-0.5 * (sigma * s) ** 2), 0, 1, epsabs=0, epsrel=1e-13)[0]
+            assert truncated_normal_even_moment(j, sigma) == pytest.approx(sigma**j * num / mass, rel=1e-12, abs=0)
+        assert truncated_normal_even_moment(0, sigma) == 1.0
         assert truncated_normal_even_moment(3, sigma) == 0.0
 
 
@@ -261,6 +266,111 @@ def test_t3_custom_target_path():
     assert rep.accepted
     rep2 = band_moment_tester(ds, w, 0.4, 0.6, cfg, tilt)
     assert rep.to_json_dict() == rep2.to_json_dict()  # cached oracle is deterministic
+
+
+# ---------------------------------------------------------------------------
+# calibration oracles
+
+
+def _band_alphas(d: int) -> list[tuple[int, ...]]:
+    return [a for deg in range(1, 5) for a in exponent_tuples(d, deg)]
+
+
+@pytest.fixture()
+def empty_oracle_cache():
+    testers.clear_oracle_cache()
+    yield
+    testers.clear_oracle_cache()
+
+
+@pytest.mark.parametrize(
+    "case", [("t1", 2), ("t1", 4), ("band", 0.05), ("band", 0.5)], ids=["t1_k2", "t1_k4", "band_0.05", "band_0.5"]
+)
+def test_null_variances_against_brute_force(case):
+    kind, param = case
+    d, n = 3, 1_000_000
+    rng = np.random.default_rng(106)
+    if kind == "t1":
+        alphas = list(exponent_tuples(d, param))
+        moment = lambda a: gaussian_moment(MultiIndex(a))
+        X = rng.standard_normal((n, d))
+    else:
+        alphas = _band_alphas(d)
+        moment = lambda a: testers._band_gaussian_moment(a, param)
+        X = testers._sample_gaussian_band_rotated(n, d, param, rng)
+    var = testers._null_variance(moment, alphas)
+    powers = [[X[:, i] ** e for e in range(5)] for i in range(d)]
+    for a, v in zip(alphas, var):
+        y = np.prod([powers[i][e] for i, e in enumerate(a)], axis=0)
+        # the sample variance of n rows has standard error sqrt((mu4 - var^2)/n),
+        # with mu4 = E[(y - mu)^4] expanded in raw moments of the null law
+        mu = moment(a)
+        raw = [moment(tuple(p * e for e in a)) for p in (2, 3, 4)]
+        mu4 = raw[2] - 4 * mu * raw[1] + 6 * mu**2 * raw[0] - 3 * mu**4
+        se = math.sqrt((mu4 - v * v) / n)
+        assert v > 0
+        assert abs(float(np.var(y)) - v) <= 6 * se, (a, float(np.var(y)), v, se)
+
+
+def test_clt_cutoff_matches_sampled_thresholds(monkeypatch, empty_oracle_cache):
+    # At the cutoff the closed-form thresholds agree with the row-sampling ones
+    # degree by degree (median ratio over 10 calibration seeds x the degree's
+    # monomials); at a twentieth of it the skew of degree-4 band monomials
+    # makes the sampled maxima visibly larger, which is why small in-band
+    # counts keep sampling.  sigma = 0.0417 is the narrowest agnostic band.
+    d, sigma = 4, 0.0417
+    alphas = _band_alphas(d)
+    degrees = np.array([sum(a) for a in alphas])
+    targets = np.array([testers._band_gaussian_moment(a, sigma) for a in alphas])
+    cutoff = testers._CLT_MIN
+
+    def ratios(m: int) -> np.ndarray:
+        out = []
+        for seed in range(1, 11):
+            cfg = TesterConfig(calibration_seed=RngSeed(seed))
+            q = {}
+            for path, clt_min in (("closed", m), ("sampled", m + 1)):
+                monkeypatch.setattr(testers, "_CLT_MIN", clt_min)
+                q[path] = testers._band_null_quantiles_gaussian(d, sigma, m, alphas, targets, cfg)
+                testers.clear_oracle_cache()
+            out.append(q["closed"] / q["sampled"])
+        return np.array(out)
+
+    at_cutoff = ratios(cutoff)
+    for deg in range(1, 5):
+        assert 0.95 <= np.median(at_cutoff[:, degrees == deg]) <= 1.05, deg
+    assert np.median(ratios(cutoff // 20)[:, degrees == 4]) < 0.95
+
+
+def test_null_quantiles_identical_in_fresh_process(empty_oracle_cache):
+    # both oracles, on both sides of the cutoff: the thresholds are a pure
+    # function of their arguments and the calibration seed
+    script = """
+import numpy as np
+from halflearn import testers
+from halflearn.core import exponent_tuples
+
+cfg = testers.TesterConfig()
+target = testers.standard_gaussian_target()
+t1 = list(exponent_tuples(3, 4))
+t3 = [a for deg in range(1, 5) for a in exponent_tuples(3, deg)]
+tgt = np.array([testers._band_gaussian_moment(a, 0.3) for a in t3])
+for n in (500, 20_000):
+    print(testers._global_null_quantiles(target, 3, 4, n, t1, cfg).tobytes().hex())
+for m in (testers._bucket_count(500), testers._bucket_count(9_000)):
+    print(testers._band_null_quantiles_gaussian(3, 0.3, m, t3, tgt, cfg).tobytes().hex())
+"""
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    t1 = list(exponent_tuples(3, 4))
+    t3 = _band_alphas(3)
+    tgt = np.array([testers._band_gaussian_moment(a, 0.3) for a in t3])
+    here = [testers._global_null_quantiles(TARGET, 3, 4, n, t1, CFG) for n in (500, 20_000)]
+    here += [
+        testers._band_null_quantiles_gaussian(3, 0.3, m, t3, tgt, CFG)
+        for m in (testers._bucket_count(500), testers._bucket_count(9_000))
+    ]
+    assert res.stdout.split() == [q.tobytes().hex() for q in here]
 
 
 # ---------------------------------------------------------------------------

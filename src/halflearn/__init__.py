@@ -1,105 +1,81 @@
 """Tester-learners for origin-centered halfspaces under Massart and adversarial
-label noise, with statistical certification of the marginal distribution."""
+label noise, with statistical certification of the marginal distribution.
 
-from .core import (
-    LabeledDataset,
-    MultiIndex,
-    RngSeed,
-    UnitVector,
-    angle_between,
-    enumerate_multi_indices,
-    project_to_sphere,
-    tangential_component,
-)
-from .datagen import (
-    MarginalSpec,
-    NoiseSpec,
-    PlanarMixtureParams,
-    apply_noise,
-    brute_force_opt_2d,
-    read_dataset_csv,
-    sample_marginal,
-    write_dataset_csv,
-)
-from .optimizer import CandidateList, PsgdConfig, full_gradient_norm, psgd_candidates
-from .pipeline import (
-    AgnosticConfig,
-    LearnResult,
-    MassartConfig,
-    empirical_error,
-    learn_agnostic,
-    learn_massart,
-    select_best_candidate,
-    sigma_grid_agnostic,
-)
-from .surrogate import (
-    SurrogateParams,
-    empirical_surrogate_gradient,
-    empirical_surrogate_loss,
-    ramp_derivative,
-    ramp_value,
-)
-from .testers import (
-    TargetMarginal,
-    TesterConfig,
-    TesterReport,
-    angle_to_error_bound,
-    band_mass_tester,
-    band_moment_tester,
-    gaussian_moment,
-    moment_tester,
-    operator_norm_symmetric,
-    standard_gaussian_target,
-    strip_tester,
-    tilted_gaussian_target,
-)
+The public names load their submodule on first access (PEP 562), so importing
+the package, or ``halflearn.cli``, imports neither numpy nor scipy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgnosticConfig",
-    "CandidateList",
-    "LabeledDataset",
-    "LearnResult",
-    "MarginalSpec",
-    "MassartConfig",
-    "MultiIndex",
-    "NoiseSpec",
-    "PlanarMixtureParams",
-    "PsgdConfig",
-    "RngSeed",
-    "SurrogateParams",
-    "TargetMarginal",
-    "TesterConfig",
-    "TesterReport",
-    "UnitVector",
-    "angle_between",
-    "angle_to_error_bound",
-    "apply_noise",
-    "band_mass_tester",
-    "band_moment_tester",
-    "brute_force_opt_2d",
-    "empirical_error",
-    "empirical_surrogate_gradient",
-    "empirical_surrogate_loss",
-    "enumerate_multi_indices",
-    "full_gradient_norm",
-    "gaussian_moment",
-    "learn_agnostic",
-    "learn_massart",
-    "moment_tester",
-    "operator_norm_symmetric",
-    "project_to_sphere",
-    "psgd_candidates",
-    "ramp_derivative",
-    "ramp_value",
-    "read_dataset_csv",
-    "sample_marginal",
-    "select_best_candidate",
-    "sigma_grid_agnostic",
-    "standard_gaussian_target",
-    "strip_tester",
-    "tangential_component",
-    "tilted_gaussian_target",
-    "write_dataset_csv",
-]
+_SUBMODULE_EXPORTS = {
+    "core": (
+        "LabeledDataset",
+        "MultiIndex",
+        "RngSeed",
+        "UnitVector",
+        "angle_between",
+        "empirical_error",
+        "project_to_sphere",
+    ),
+    "datagen": (
+        "MarginalSpec",
+        "NoiseSpec",
+        "PlanarMixtureParams",
+        "apply_noise",
+        "brute_force_opt_2d",
+        "read_dataset_csv",
+        "sample_marginal",
+        "write_dataset_csv",
+    ),
+    "optimizer": ("CandidateList", "PsgdConfig", "full_gradient_norm", "psgd_candidates"),
+    "pipeline": (
+        "AgnosticConfig",
+        "LearnResult",
+        "MassartConfig",
+        "learn_agnostic",
+        "learn_massart",
+        "select_best_candidate",
+        "sigma_grid_agnostic",
+    ),
+    "surrogate": (
+        "SurrogateParams",
+        "empirical_surrogate_gradient",
+        "empirical_surrogate_loss",
+        "ramp_derivative",
+        "ramp_value",
+    ),
+    "testers": (
+        "TargetMarginal",
+        "TesterConfig",
+        "TesterReport",
+        "angle_to_error_bound",
+        "band_mass_tester",
+        "band_moment_tester",
+        "gaussian_moment",
+        "moment_tester",
+        "operator_norm_symmetric",
+        "standard_gaussian_target",
+        "strip_tester",
+        "tilted_gaussian_target",
+    ),
+}
+
+# public name -> the submodule that defines it
+_EXPORTS = {name: module for module, names in _SUBMODULE_EXPORTS.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

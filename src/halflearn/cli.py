@@ -277,16 +277,16 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from . import datagen, pipeline
-    from .core import angle_between
+    from . import datagen
+    from .core import angle_between, empirical_error
 
     ds = datagen.read_dataset_csv(args.data)
     w = _read_vector(args.hypothesis, ds.d)
-    metrics: dict = {"empirical_error": pipeline.empirical_error(ds, w)}
+    metrics: dict = {"empirical_error": empirical_error(ds, w)}
     if args.planted:
         planted = _read_vector(args.planted, ds.d)
         metrics["angle_to_planted"] = angle_between(w, planted)
-        metrics["planted_error"] = pipeline.empirical_error(ds, planted)
+        metrics["planted_error"] = empirical_error(ds, planted)
     if args.oracle_2d:
         if ds.d != 2:
             raise UsageExit("--oracle-2d requires a 2-dimensional dataset")
@@ -305,9 +305,10 @@ def main(argv: list[str] | None = None) -> int:
     except UsageExit as exc:
         print(f"halflearn: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # Keep BLAS reductions single-threaded so results do not depend on the core count.
-    os.environ.setdefault("OMP_NUM_THREADS", "1")
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # Keep BLAS reductions single-threaded so results do not depend on the core
+    # count.  It takes effect because numpy loads only once a command runs.
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
     try:
         if args.command == "gen":
             return _cmd_gen(args)

@@ -163,6 +163,13 @@ def halfspace_signs(points: np.ndarray, w: UnitVector) -> np.ndarray:
     return np.where(X @ w.coords >= 0.0, 1.0, -1.0)
 
 
+def empirical_error(S: LabeledDataset, w: UnitVector) -> float:
+    """Fraction of samples misclassified by sign(<w, x>), with sign(0) = +1."""
+    if S.d != w.d:
+        raise DimensionMismatchError("dataset and direction disagree on d")
+    return float(np.mean(halfspace_signs(S.points, w) != S.labels))
+
+
 def count_multi_indices(d: int, k: int) -> int:
     return math.comb(d + k - 1, k)
 

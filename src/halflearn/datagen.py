@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -227,18 +228,32 @@ def disagreement(S: LabeledDataset, u: UnitVector, v: UnitVector) -> float:
 # Dataset file format: UTF-8 CSV, header y,x1,...,xd, floats at 17 significant
 # digits (shared with the CLI).
 
+# Rows per formatted block: one %-format per block keeps the per-value work in
+# C, and the file is written block by block, so its whole text is never held.
+_CSV_BLOCK_ROWS = 32768
+
+
+def _csv_blocks(S: LabeledDataset) -> Iterator[str]:
+    """The header line, then the rows in blocks of _CSV_BLOCK_ROWS.
+
+    '%.17g' % v formats as f"{v:.17g}" does, and '%d' truncates the float
+    label as int() does.
+    """
+    yield "y," + ",".join(f"x{i + 1}" for i in range(S.d)) + "\n"
+    row = "%d," + ",".join(["%.17g"] * S.d) + "\n"
+    for start in range(0, S.n, _CSV_BLOCK_ROWS):
+        y = S.labels[start : start + _CSV_BLOCK_ROWS]
+        X = S.points[start : start + _CSV_BLOCK_ROWS]
+        yield (row * len(y)) % tuple(np.column_stack([y, X]).ravel().tolist())
+
+
 def dataset_to_csv(S: LabeledDataset) -> str:
-    header = "y," + ",".join(f"x{i + 1}" for i in range(S.d))
-    rows = [header]
-    for yi, xi in zip(S.labels, S.points):
-        rows.append(f"{int(yi)}," + ",".join(f"{v:.17g}" for v in xi))
-    return "\n".join(rows) + "\n"
+    return "".join(_csv_blocks(S))
 
 
 def write_dataset_csv(S: LabeledDataset, path: str) -> None:
-    data = dataset_to_csv(S)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(data)
+        fh.writelines(_csv_blocks(S))
 
 
 def read_dataset_csv(path: str) -> LabeledDataset:
@@ -246,5 +261,12 @@ def read_dataset_csv(path: str) -> LabeledDataset:
         header = fh.readline().strip()
         if not header.startswith("y,x1"):
             raise ValueError(f"{path}: not a dataset CSV (bad header)")
+        rows_start = fh.tell()
+        if not fh.readline():
+            raise ValueError(f"{path}: no data rows after the header")
+        fh.seek(rows_start)
         body = np.loadtxt(fh, delimiter=",", ndmin=2)
+    width = header.count(",") + 1
+    if body.shape[1] != width:
+        raise ValueError(f"{path}: rows have {body.shape[1]} columns but the header names {width}")
     return LabeledDataset(body[:, 1:], body[:, 0])

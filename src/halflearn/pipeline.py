@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LabeledDataset, RngSeed, UnitVector, halfspace_signs
+from .core import LabeledDataset, RngSeed, UnitVector, empirical_error
 from .errors import (
     DimensionMismatchError,
     EmptyCandidateListError,
@@ -117,13 +117,6 @@ class LearnResult:
         if self.analytic_excess_bound is not None:
             out["analytic_excess_bound"] = self.analytic_excess_bound
         return out
-
-
-def empirical_error(S: LabeledDataset, w: UnitVector) -> float:
-    """Fraction of samples misclassified by sign(<w, x>), with sign(0) = +1."""
-    if S.d != w.d:
-        raise DimensionMismatchError("dataset and direction disagree on d")
-    return float(np.mean(halfspace_signs(S.points, w) != S.labels))
 
 
 def select_best_candidate(S: LabeledDataset, candidates: list[UnitVector]) -> tuple[UnitVector, float]:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -213,3 +214,33 @@ def test_unknown_tester_and_missing_file(tmp_path):
     res = run_cli("test", "--tester", "t1", "--data", tmp_path / "missing.csv", "--k", 2,
                   "--seed", 1, "--out", tmp_path / "r.json")
     assert res.returncode == 2
+
+
+_FRESH_CLI_PROBE = """
+import json, os, sys
+import halflearn.cli as cli
+imported = {m: m in sys.modules for m in ("numpy", "scipy")}
+rc = cli.main(["eval", "--hypothesis", sys.argv[1], "--data", sys.argv[2], "--out", sys.argv[3]])
+print(json.dumps({"imported": imported, "rc": rc, "scipy_after": "scipy" in sys.modules,
+                  "env": {v: os.environ.get(v) for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                                         "MKL_NUM_THREADS")}}))
+"""
+
+
+def test_cli_import_is_light_and_pins_blas_threads(tmp_path):
+    # Written by hand so the probe process is the first to load numpy.
+    data = tmp_path / "d.csv"
+    data.write_text("y,x1,x2\n1,1.0,0.5\n-1,-1.0,0.25\n1,-0.5,2.0\n", encoding="utf-8")
+    hyp = tmp_path / "w.json"
+    hyp.write_text('{"coords": [1.0, 0.0]}', encoding="utf-8")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    res = subprocess.run([sys.executable, "-c", _FRESH_CLI_PROBE, str(hyp), str(data), str(tmp_path / "e.json")],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert res.returncode == 0, res.stderr
+    probe = json.loads(res.stdout)
+    assert probe["imported"] == {"numpy": False, "scipy": False}
+    assert probe["rc"] == 0
+    assert probe["env"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    assert not probe["scipy_after"]
+    assert json.loads((tmp_path / "e.json").read_text())["empirical_error"] == pytest.approx(1 / 3)

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from halflearn.core import RngSeed, project_to_sphere
+from halflearn import datagen
+from halflearn.core import LabeledDataset, RngSeed, project_to_sphere
 from halflearn.datagen import (
     MarginalSpec,
     NoiseSpec,
@@ -223,6 +225,63 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.labels, S.labels)
     text = dataset_to_csv(S)
     assert text.splitlines()[0] == "y,x1,x2,x3,x4"
+
+
+def _reference_csv(S) -> str:
+    """The per-value formatter the block writer replaced."""
+    rows = ["y," + ",".join(f"x{i + 1}" for i in range(S.d))]
+    for yi, xi in zip(S.labels, S.points):
+        rows.append(f"{int(yi)}," + ",".join(f"{v:.17g}" for v in xi))
+    return "\n".join(rows) + "\n"
+
+
+_EDGE_VALUES = (-0.0, 5e-324, 1e-300, -1e-300, 1e308, np.nextafter(1.0, 2.0), 1.0, 123456789.0)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, datagen._CSV_BLOCK_ROWS - 1, datagen._CSV_BLOCK_ROWS, datagen._CSV_BLOCK_ROWS + 1,
+     3 * datagen._CSV_BLOCK_ROWS + 17],
+)
+def test_block_writer_matches_reference_formatter(tmp_path, n):
+    rng = np.random.default_rng(n)
+    d = 3
+    # wide magnitudes, then the edge values spread over the first rows
+    X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-20, 20, (n, d))
+    X.flat[: len(_EDGE_VALUES)] = _EDGE_VALUES[: X.size]
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    y[0] = -1.0
+    S = LabeledDataset(X, y)
+    text = dataset_to_csv(S)
+    ref = _reference_csv(S)
+    if text != ref:  # name the first differing line; a diff of megabytes takes minutes
+        got, want = text.splitlines(True), ref.splitlines(True)
+        first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        pytest.fail(f"line {first}: {got[first:first + 1]!r} != {want[first:first + 1]!r}")
+    path = tmp_path / "ds.csv"
+    write_dataset_csv(S, str(path))
+    assert path.read_bytes() == text.encode("utf-8"), "file differs from dataset_to_csv"
+    back = read_dataset_csv(str(path))
+    assert np.array_equal(back.points, S.points)
+    assert np.array_equal(np.signbit(back.points), np.signbit(S.points))  # -0.0 stays -0.0
+    assert np.array_equal(back.labels, S.labels)
+
+
+@pytest.mark.parametrize("rows", ["1,0.5,0.25,0.125\n-1,1,2,3\n", "1,0.5\n-1,1\n"])
+def test_read_rejects_rows_wider_or_narrower_than_header(tmp_path, rows):
+    path = tmp_path / "bad.csv"
+    path.write_text("y,x1,x2\n" + rows, encoding="utf-8")
+    with pytest.raises(ValueError, match="bad.csv: rows have"):
+        read_dataset_csv(str(path))
+
+
+def test_read_rejects_header_only_file_without_warning(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("y,x1,x2\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty.csv: no data rows"):
+            read_dataset_csv(str(path))
 
 
 def test_spec_validation():

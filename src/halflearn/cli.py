@@ -247,9 +247,7 @@ def _cmd_learn(args) -> int:
     train = read_dataset_csv(args.train)
     holdout = read_dataset_csv(args.holdout)
     seed = RngSeed(args.seed)
-    tcfg = testers.TesterConfig(
-        slack_mode=args.slack_mode, delta=args.delta, calibration_seed=seed.child(7)
-    )
+    tcfg = testers.TesterConfig(slack_mode=args.slack_mode, calibration_seed=seed.child(7))
     target = _make_target(args.target, train.d)
     if args.mode == "massart":
         if args.eta is None:

@@ -12,7 +12,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SizeLimitError, ZeroVectorError
+from .errors import DimensionMismatchError, ZeroVectorError
 
 # Cap on enumerated multi-indices; binomial(d+k-1, k) explodes quickly in d.
 MULTI_INDEX_CAP = 2_000_000
@@ -147,14 +147,6 @@ def angle_between(u: UnitVector, v: UnitVector) -> float:
     return float(np.arccos(np.clip(float(u.coords @ v.coords), -1.0, 1.0)))
 
 
-def tangential_component(x: Sequence[float] | np.ndarray, w: UnitVector) -> np.ndarray:
-    """x minus its component along w; orthogonal to w."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.shape != (w.d,):
-        raise DimensionMismatchError(f"dimension mismatch: {arr.shape} vs ({w.d},)")
-    return arr - float(w.coords @ arr) * w.coords
-
-
 def halfspace_signs(points: np.ndarray, w: UnitVector) -> np.ndarray:
     """sign(<w, x>) per row with the sign(0) = +1 convention."""
     X = np.asarray(points, dtype=np.float64)
@@ -183,12 +175,3 @@ def exponent_tuples(d: int, k: int) -> Iterator[tuple[int, ...]]:
         for rest in exponent_tuples(d - 1, k - first):
             yield (first,) + rest
 
-
-def enumerate_multi_indices(d: int, k: int, cap: int = MULTI_INDEX_CAP) -> list[MultiIndex]:
-    """All multi-indices of degree exactly k in canonical (lexicographic) order."""
-    if d < 1 or k < 0:
-        raise ValueError("need d >= 1 and k >= 0")
-    count = count_multi_indices(d, k)
-    if count > cap:
-        raise SizeLimitError(f"{count} multi-indices of degree {k} in dimension {d} exceeds cap {cap}")
-    return [MultiIndex(t) for t in exponent_tuples(d, k)]

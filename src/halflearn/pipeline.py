@@ -10,7 +10,7 @@ the offending tester report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,21 +39,27 @@ AGNOSTIC_MODES = ("gaussian", "slc_fixed_k", "slc_auto_k")
 
 _SIGMA_GRID_CAP = 1_000_000
 
+# Constants the analysis leaves free; values are acceptance-tested, not derived.
+C1 = 0.25  # Massart gradient threshold scale
+C2 = 0.05  # in-band fooling accuracy tau; also the agnostic gradient target
+C_SIGMA = 0.5  # Massart ramp width scale
+C4 = 2.0  # certified angle per unit of ramp width
+BOUND_C1 = 1.0  # moment-growth constant in the analytic bound
+BOUND_C3 = 1.0  # band-mass constant in the analytic bound
+PER_CANDIDATE_INFLATION = 1.6  # extra threshold inflation for vetting calls
+
 
 @dataclass(frozen=True)
 class MassartConfig:
+    """``delta`` is the run's failure budget: t1 runs at ``delta`` and each
+    vetting call at ``delta / (8 * #candidates)``, overriding
+    ``tester_cfg.delta``."""
+
     eta: float
     epsilon: float
     delta: float
     seed: RngSeed
     tester_cfg: TesterConfig = field(default_factory=TesterConfig)
-    psgd_overrides: PsgdConfig | None = None
-    # Constants the analysis leaves free; defaults are acceptance-tested, not derived.
-    c1: float = 0.25  # gradient threshold scale
-    c2: float = 0.05  # in-band fooling accuracy tau
-    c_sigma: float = 0.5  # ramp width scale
-    strict_reject: bool = True
-    per_candidate_inflation: float = 1.6
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.eta < 0.5):
@@ -64,19 +70,16 @@ class MassartConfig:
 
 @dataclass(frozen=True)
 class AgnosticConfig:
+    """``delta`` is the run's failure budget: each global moment test runs at
+    ``delta`` and each vetting call at ``delta / (8 * #candidates * #grid)``,
+    overriding ``tester_cfg.delta``."""
+
     epsilon: float
     delta: float
     mode: str
     seed: RngSeed
     k: int | None = None
     tester_cfg: TesterConfig = field(default_factory=TesterConfig)
-    psgd_overrides: PsgdConfig | None = None
-    c2: float = 0.05  # gradient target and fooling accuracy
-    c4: float = 2.0  # certified angle per unit of ramp width
-    bound_c1: float = 1.0  # moment-growth constant in the analytic bound
-    bound_c3: float = 1.0  # band-mass constant in the analytic bound
-    strict_reject: bool = True
-    per_candidate_inflation: float = 1.6
 
     def __post_init__(self) -> None:
         if self.mode not in AGNOSTIC_MODES:
@@ -132,8 +135,8 @@ def sigma_grid_agnostic(epsilon: float, k: int) -> list[float]:
     """Arithmetic grid over (0, 1] with spacing 0.5 (epsilon/sqrt(k))^(1+1/k)."""
     if not (0.0 < epsilon < 1.0) or k < 2:
         raise ValueError("need epsilon in (0,1) and k >= 2")
-    delta = 0.5 * (epsilon / math.sqrt(k)) ** (1.0 + 1.0 / k)
-    return _arithmetic_grid(delta)
+    spacing = 0.5 * (epsilon / math.sqrt(k)) ** (1.0 + 1.0 / k)
+    return _arithmetic_grid(spacing)
 
 
 def _gaussian_sigma_grid(epsilon: float) -> list[float]:
@@ -141,12 +144,12 @@ def _gaussian_sigma_grid(epsilon: float) -> list[float]:
     return _arithmetic_grid(epsilon)
 
 
-def _arithmetic_grid(delta: float) -> list[float]:
-    count = math.floor(1.0 / delta)
+def _arithmetic_grid(spacing: float) -> list[float]:
+    count = math.floor(1.0 / spacing)
     if count > _SIGMA_GRID_CAP:
         raise SizeLimitError(f"sigma grid would have {count} points (cap {_SIGMA_GRID_CAP})")
-    # j*delta can land a few ulp above 1 when 1/delta sits just above an integer
-    grid = [min(j * delta, 1.0) for j in range(1, count + 1)]
+    # j*spacing can land a few ulp above 1 when 1/spacing sits just above an integer
+    grid = [min(j * spacing, 1.0) for j in range(1, count + 1)]
     if not grid or grid[-1] < 1.0:
         grid.append(1.0)
     return grid
@@ -218,25 +221,19 @@ def _vet_pairs(
     tcfg: TesterConfig,
     target: TargetMarginal,
     theta: float | None,
-    strict_reject: bool,
     reports: list[TesterReport],
 ) -> tuple[list[UnitVector] | None, int]:
-    """Vet every candidate and then its negation; a pair survives only when
-    both orientations pass.  Returns the survivors (each candidate followed
-    by its negation) and the number of orientations examined; survivors is
-    None when a pair fails under strict_reject."""
+    """Vet every candidate and then its negation.  Returns the survivors (each
+    candidate followed by its negation) and the number of orientations
+    examined; survivors is None as soon as one orientation fails."""
     survivors: list[UnitVector] = []
     examined = 0
     for w in cands:
-        pair = (w, w.negated())
-        for orient in pair:
+        for orient in (w, w.negated()):
             examined += 1
             if not _vet_orientation(train, orient, sigma, tau, tcfg, target, theta, reports):
-                if strict_reject:
-                    return None, examined
-                break
-        else:
-            survivors.extend(pair)
+                return None, examined
+            survivors.append(orient)
     return survivors, examined
 
 
@@ -249,29 +246,28 @@ def learn_massart(
     """Tester-learner under Massart noise at rate at most eta.
 
     Global moment test at degree 2, PSGD on the ramp loss at width
-    sigma = c_sigma * epsilon^{3/2} * (1 - 2 eta), band vetting of every
+    sigma = C_SIGMA * epsilon^{3/2} * (1 - 2 eta), band vetting of every
     candidate and its negation, then holdout selection."""
     if S_train.d != S_holdout.d:
         raise DimensionMismatchError("train and holdout disagree on d")
     one_minus = 1.0 - 2.0 * cfg.eta
-    sigma = min(cfg.c_sigma * cfg.epsilon**1.5 * one_minus, 1.0)
+    sigma = min(C_SIGMA * cfg.epsilon**1.5 * one_minus, 1.0)
+    tester_cfg = replace(cfg.tester_cfg, delta=cfg.delta)
 
     reports: list[TesterReport] = []
-    t1 = moment_tester(S_train, 2, cfg.tester_cfg, target)
+    t1 = moment_tester(S_train, 2, tester_cfg, target)
     reports.append(t1)
     if not t1.accepted:
         return LearnResult(True, sigma, 0, tuple(reports))
 
-    grad_target = cfg.c1 * one_minus * sigma / 2.0
-    pcfg = cfg.psgd_overrides or _pipeline_psgd_config(sigma, grad_target, S_train.n, cfg.seed.child(1))
+    grad_target = C1 * one_minus * sigma / 2.0
+    pcfg = _pipeline_psgd_config(sigma, grad_target, S_train.n, cfg.seed.child(1))
     cands = _unique_candidates(psgd_candidates(S_train, SurrogateParams(sigma), pcfg))
 
-    tcfg = scaled_tester_config(cfg.tester_cfg, cfg.per_candidate_inflation, 1.0 / (8.0 * len(cands)))
-    pool, examined = _vet_pairs(S_train, cands, sigma, cfg.c2, tcfg, target, None, cfg.strict_reject, reports)
+    tcfg = scaled_tester_config(tester_cfg, PER_CANDIDATE_INFLATION, 1.0 / (8.0 * len(cands)))
+    pool, examined = _vet_pairs(S_train, cands, sigma, C2, tcfg, target, None, reports)
     if pool is None:
         return LearnResult(True, sigma, examined, tuple(reports))
-    if not pool:
-        raise EmptyCandidateListError("every candidate pair was dropped")
     best, err = select_best_candidate(S_holdout, pool)
     return LearnResult(False, sigma, examined, tuple(reports), best, err)
 
@@ -293,6 +289,7 @@ def learn_agnostic(
     if cfg.mode == "gaussian" and target.kind != "standard_gaussian":
         raise ModeMismatchError("gaussian mode requires the standard Gaussian target")
     d = S_train.d
+    tester_cfg = replace(cfg.tester_cfg, delta=cfg.delta)
 
     reports: list[TesterReport] = []
     moment_degrees = [2]
@@ -308,7 +305,7 @@ def learn_agnostic(
         swept_ks = [cfg.k]
 
     for deg in moment_degrees:
-        rep = moment_tester(S_train, deg, cfg.tester_cfg, target)
+        rep = moment_tester(S_train, deg, tester_cfg, target)
         reports.append(rep)
         if not rep.accepted:
             return LearnResult(True, 0.0, 0, tuple(reports))
@@ -321,25 +318,21 @@ def learn_agnostic(
     pool: list[tuple[UnitVector, float]] = []
     examined = 0
     for ci, sigma in enumerate(grid):
-        pcfg = cfg.psgd_overrides or _pipeline_psgd_config(sigma, cfg.c2, S_train.n, cfg.seed.child(2, ci))
+        pcfg = _pipeline_psgd_config(sigma, C2, S_train.n, cfg.seed.child(2, ci))
         cands = _unique_candidates(psgd_candidates(S_train, SurrogateParams(sigma), pcfg))
-        tcfg = scaled_tester_config(
-            cfg.tester_cfg, cfg.per_candidate_inflation, 1.0 / (8.0 * len(cands) * len(grid))
-        )
-        theta = min(cfg.c4 * sigma, math.pi / 4.0) if cfg.mode == "gaussian" else None
-        survivors, vetted = _vet_pairs(S_train, cands, sigma, cfg.c2, tcfg, target, theta, cfg.strict_reject, reports)
+        tcfg = scaled_tester_config(tester_cfg, PER_CANDIDATE_INFLATION, 1.0 / (8.0 * len(cands) * len(grid)))
+        theta = min(C4 * sigma, math.pi / 4.0) if cfg.mode == "gaussian" else None
+        survivors, vetted = _vet_pairs(S_train, cands, sigma, C2, tcfg, target, theta, reports)
         examined += vetted
         if survivors is None:
             return LearnResult(True, sigma, examined, tuple(reports))
         pool.extend((w, sigma) for w in survivors)
-    if not pool:
-        raise EmptyCandidateListError("every candidate pair was dropped")
 
     best, err = select_best_candidate(S_holdout, [w for w, _ in pool])
     sigma_best = next(s for w, s in pool if w == best)
-    theta_best = min(cfg.c4 * sigma_best, math.pi / 4.0)
+    theta_best = min(C4 * sigma_best, math.pi / 4.0)
     if cfg.mode == "gaussian":
         bound = 4.0 * theta_best
     else:
-        bound = min(angle_to_error_bound(theta_best, k, cfg.bound_c1, cfg.bound_c3)[1] for k in swept_ks)
+        bound = min(angle_to_error_bound(theta_best, k, BOUND_C1, BOUND_C3)[1] for k in swept_ks)
     return LearnResult(False, sigma_best, examined, tuple(reports), best, err, bound)

@@ -13,11 +13,10 @@ from halflearn.core import (
     UnitVector,
     angle_between,
     count_multi_indices,
-    enumerate_multi_indices,
+    exponent_tuples,
     project_to_sphere,
-    tangential_component,
 )
-from halflearn.errors import DimensionMismatchError, SizeLimitError, ZeroVectorError
+from halflearn.errors import DimensionMismatchError, ZeroVectorError
 
 FINITE_COORDS = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=2, max_size=8
@@ -57,25 +56,6 @@ def test_angle_symmetry_and_triangle_inequality():
         assert angle_between(u, w) <= angle_between(u, v) + angle_between(v, w) + 1e-9
 
 
-def test_tangential_examples():
-    w = project_to_sphere([1.0, 0.0])
-    assert np.allclose(tangential_component([1.0, 1.0], w), [0.0, 1.0])
-    assert np.allclose(tangential_component(w.coords, w), [0.0, 0.0])
-    e3 = project_to_sphere([0.0, 0.0, 1.0])
-    assert np.allclose(tangential_component([2.0, 3.0, 5.0], e3), [2.0, 3.0, 0.0])
-    with pytest.raises(DimensionMismatchError):
-        tangential_component([1.0, 2.0, 3.0], w)
-
-
-def test_tangential_orthogonality_random():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        x = rng.standard_normal(6) * rng.uniform(0.1, 50)
-        w = project_to_sphere(rng.standard_normal(6))
-        t = tangential_component(x, w)
-        assert abs(float(t @ w.coords)) <= 1e-10 * np.linalg.norm(x)
-
-
 def _brute_multi_indices(d, k):
     return sorted(
         t for t in itertools.product(range(k + 1), repeat=d) if sum(t) == k
@@ -83,24 +63,20 @@ def _brute_multi_indices(d, k):
 
 
 def test_enumerate_examples():
-    assert [m.exponents for m in enumerate_multi_indices(2, 1)] == [(1, 0), (0, 1)]
-    assert [m.exponents for m in enumerate_multi_indices(2, 2)] == [(2, 0), (1, 1), (0, 2)]
-    got = enumerate_multi_indices(3, 2)
+    assert list(exponent_tuples(2, 1)) == [(1, 0), (0, 1)]
+    assert list(exponent_tuples(2, 2)) == [(2, 0), (1, 1), (0, 2)]
+    got = list(exponent_tuples(3, 2))
+    assert got == [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
     assert len(got) == math.comb(4, 2) == 6
-    assert sorted(m.exponents for m in got) == _brute_multi_indices(3, 2)
+    assert sorted(got) == _brute_multi_indices(3, 2)
 
 
 @pytest.mark.parametrize("d,k", [(2, 3), (3, 4), (5, 3), (4, 0)])
 def test_enumerate_matches_brute_force(d, k):
-    got = [m.exponents for m in enumerate_multi_indices(d, k)]
-    assert sorted(got) == _brute_multi_indices(d, k)
+    got = list(exponent_tuples(d, k))
+    assert got == sorted(_brute_multi_indices(d, k), reverse=True)
     assert len(set(got)) == len(got) == count_multi_indices(d, k)
     assert all(sum(t) == k for t in got)
-
-
-def test_enumerate_size_limit():
-    with pytest.raises(SizeLimitError):
-        enumerate_multi_indices(10, 10, cap=100)
 
 
 def test_multi_index_degree():

@@ -15,7 +15,13 @@ from halflearn.pipeline import (
     select_best_candidate,
     sigma_grid_agnostic,
 )
-from halflearn.testers import TargetMarginal, TesterConfig, standard_gaussian_target, tilted_gaussian_target
+from halflearn.testers import (
+    TargetMarginal,
+    TesterConfig,
+    moment_tester,
+    standard_gaussian_target,
+    tilted_gaussian_target,
+)
 
 from conftest import planted_agnostic, planted_massart
 
@@ -73,11 +79,16 @@ def test_sigma_grid_stays_inside_unit_interval():
         assert len(grid) <= math.ceil(1.0 / delta) + 1
 
 
-def test_learn_massart_rejects_anisotropic():
+def _aniso_train() -> LabeledDataset:
     root = RngSeed(610)
     w = project_to_sphere([1.0, 0, 0, 0])
     X = sample_marginal(MarginalSpec("aniso_gaussian", 4, scales=(2.0, 1, 1, 1)), 20_000, root.child(0))
-    train = apply_noise(X, NoiseSpec("massart_constant", w, eta=0.1), root.child(1))
+    return apply_noise(X, NoiseSpec("massart_constant", w, eta=0.1), root.child(1))
+
+
+def test_learn_massart_rejects_anisotropic():
+    root = RngSeed(610)
+    train = _aniso_train()
     hold, _ = planted_massart(5_000, 4, eta=0.1, seed=611)
     cfg = MassartConfig(eta=0.1, epsilon=0.5, delta=0.05, seed=root.child(2))
     res = learn_massart(train, hold, cfg, TARGET)
@@ -137,20 +148,49 @@ def _bogus_band_target() -> TargetMarginal:
     )
 
 
-def test_learn_massart_strict_reject_vs_drop():
+def test_learn_massart_rejects_at_first_failing_orientation():
     train, _ = planted_massart(30_000, 3, eta=0.1, seed=618)
     hold, _ = planted_massart(5_000, 3, eta=0.1, seed=619)
     tcfg = TesterConfig(slack_mode="theory")
-    strict = MassartConfig(eta=0.1, epsilon=0.5, delta=0.05, seed=RngSeed(620), tester_cfg=tcfg)
-    res = learn_massart(train, hold, strict, _bogus_band_target())
-    assert res.rejected
-    assert not res.tester_reports[-1].accepted
-    assert res.candidates_examined >= 1  # rejected at the first vetted orientation
-    lenient = MassartConfig(
-        eta=0.1, epsilon=0.5, delta=0.05, seed=RngSeed(620), tester_cfg=tcfg, strict_reject=False
-    )
-    with pytest.raises(EmptyCandidateListError):
-        learn_massart(train, hold, lenient, _bogus_band_target())
+    cfg = MassartConfig(eta=0.1, epsilon=0.5, delta=0.05, seed=RngSeed(620), tester_cfg=tcfg)
+    res = learn_massart(train, hold, cfg, _bogus_band_target())
+    assert res.rejected and res.hypothesis is None
+    assert res.candidates_examined == 1
+    # t1 (six degree-2 moments) passes; the first orientation's t2 fails
+    assert [(r.accepted, len(r.checks)) for r in res.tester_reports] == [(True, 6), (False, 2)]
+    assert res.tester_reports[1].checks[0].name == "band_mass_abs_error"
+
+
+def test_learners_spend_their_own_delta(monkeypatch):
+    import halflearn.pipeline as pl
+
+    train, _ = planted_massart(20_000, 3, eta=0.1, seed=634)
+    hold, _ = planted_massart(5_000, 3, eta=0.1, seed=635)
+    want_t1 = moment_tester(train, 2, TesterConfig(delta=0.01), TARGET)
+    # the threshold rank differs between delta 0.05 and 0.01, so the reports do too
+    assert want_t1 != moment_tester(train, 2, TesterConfig(), TARGET)
+
+    vet_cfgs = []
+    original = pl.band_mass_tester
+
+    def spy(S, w, sigma, tcfg, target):
+        vet_cfgs.append(tcfg)
+        return original(S, w, sigma, tcfg, target)
+
+    monkeypatch.setattr(pl, "band_mass_tester", spy)
+    res = pl.learn_massart(train, hold, MassartConfig(eta=0.1, epsilon=0.5, delta=0.01, seed=RngSeed(636)), TARGET)
+    assert not res.rejected
+    assert res.tester_reports[0] == want_t1
+    n_cands = res.candidates_examined // 2
+    assert vet_cfgs and {(c.delta, c.calibration_inflation) for c in vet_cfgs} == {
+        (0.01 * (1.0 / (8.0 * n_cands)), 1.5 * 1.6)
+    }
+
+    aniso = _aniso_train()
+    cfg = AgnosticConfig(epsilon=0.3, delta=0.01, mode="gaussian", seed=RngSeed(637))
+    res = pl.learn_agnostic(aniso, aniso, cfg, TARGET)
+    assert res.rejected and res.candidates_examined == 0
+    assert res.tester_reports == (moment_tester(aniso, 2, TesterConfig(delta=0.01), TARGET),)
 
 
 def test_learn_agnostic_rejects_student_t_at_degree_4():

@@ -148,6 +148,9 @@ def _cmd_gen(args) -> int:
     from . import datagen
     from .core import RngSeed, project_to_sphere
 
+    for prefix, flag, value in (("massart", "--eta", args.eta), ("agnostic", "--opt", args.opt)):
+        if args.noise.startswith(prefix) and value is None:
+            raise UsageExit(f"--noise {args.noise} requires {flag}")
     seed = RngSeed(args.seed)
     kind = {
         "gaussian": "standard_gaussian",

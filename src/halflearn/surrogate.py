@@ -81,11 +81,7 @@ def ramp_derivative(t: ArrayLike, p: SurrogateParams) -> ArrayLike:
     s = p.sigma
     u = np.abs(arr)
     cubic = (3.0 * p.a1 * u + 2.0 * p.a2) * u + p.a3
-    out = np.select(
-        [u <= s / 6.0, u > s / 2.0],
-        [1.0 / s, 0.0],
-        default=cubic,
-    )
+    out = np.where(u <= s / 6.0, 1.0 / s, np.where(u > s / 2.0, 0.0, cubic))
     return _maybe_scalar(out, scalar)
 
 

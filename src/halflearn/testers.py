@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammainc, ndtri
 
 from .core import (
     MULTI_INDEX_CAP,
@@ -321,13 +320,33 @@ def _monomial_means(X: np.ndarray, alphas: list[tuple[int, ...]]) -> np.ndarray:
         return _monomial_means_direct(X, alphas)
     basis, i1, i2 = _gram_plan(tuple(alphas))
     n = X.shape[0]
-    V = np.ones((n, len(basis)))
+    V = np.ones((len(basis), n))  # basis x n: one contiguous row per monomial
     for j, g in enumerate(basis):
         for i, e in enumerate(g):
             if e:
-                V[:, j] *= X[:, i] ** e
-    G = V.T @ V / n
+                V[j] *= X[:, i] ** e
+    G = V @ V.T / n
     return G[i1, i2]
+
+
+def _lower_gamma_regularized(a: float, x: float) -> float:
+    """P(a, x) for a > 0 and 0 <= x <= 500, from the power series
+    x^a e^{-x} / Gamma(a + 1) * sum_k x^k / ((a + 1) ... (a + k)).
+
+    Every term is positive, so the sum keeps full relative accuracy at small
+    x; the number of terms grows with x, which stays below 1/2 for band
+    widths sigma < 1.  Past x = 500 the sum, about e^x, nears overflow."""
+    if not 0.0 <= x <= 500.0:
+        raise ValueError(f"incomplete gamma series needs 0 <= x <= 500, got {x!r}")
+    if x == 0.0:
+        return 0.0
+    term = total = 1.0
+    k = 0.0
+    while term > total * 1e-17:
+        k += 1.0
+        term *= x / (a + k)
+        total += term
+    return total * x**a * math.exp(-x) / math.gamma(a + 1.0)
 
 
 def truncated_normal_even_moment(j: int, sigma: float) -> float:
@@ -346,11 +365,12 @@ def truncated_normal_even_moment(j: int, sigma: float) -> float:
     return (
         2.0 ** (0.5 * j)
         * math.gamma(a)
-        * float(gammainc(a, 0.5 * sigma * sigma))
+        * _lower_gamma_regularized(a, 0.5 * sigma * sigma)
         / (math.sqrt(math.pi) * math.erf(sigma / math.sqrt(2.0)))
     )
 
 
+@functools.cache
 def _band_gaussian_moment(alpha: tuple[int, ...], sigma: float) -> float:
     """E[x^alpha] for N(0, I) conditioned on |x_1| <= sigma: a truncated
     normal first coordinate times independent standard normals."""
@@ -373,6 +393,8 @@ def _sample_gaussian_band_rotated(m: int, d: int, sigma: float, rng: np.random.G
     """Draws from N(0, I_d) conditioned on the band, in the frame where the
     band normal is e1: a truncated normal first coordinate times independent
     standard normals."""
+    from scipy.special import ndtri  # only this sampled path needs scipy
+
     lo = 0.5 * math.erfc(sigma / math.sqrt(2.0))
     u = rng.random(m)
     x1 = ndtri(lo + u * (1.0 - 2.0 * lo))
@@ -591,7 +613,7 @@ def band_moment_tester(
         alphas.extend(exponent_tuples(d, deg))
 
     H = rotation_to_first_axis(w)
-    Xb = S.points[in_band] @ H  # H is symmetric, so rows become H x
+    Xb = S.points.take(np.flatnonzero(in_band), axis=0) @ H  # H is symmetric, so rows become H x
     emp = _monomial_means(Xb, alphas)
 
     if target.kind == "standard_gaussian":
@@ -679,11 +701,11 @@ def strip_tester(S: LabeledDataset, w: UnitVector, theta: float, cfg: TesterConf
     n, d = S.n, S.d
     margins = S.points @ w.coords
     k_max = math.ceil(math.sqrt(2.0 * math.log(1.0 / theta)) / theta)
-    idx = np.floor(margins / theta).astype(np.int64)
-
-    shifted = idx + k_max
-    valid = (shifted >= 0) & (shifted <= 2 * k_max)
-    counts = np.bincount(shifted[valid], minlength=2 * k_max + 1)
+    # strip i covers [i*theta, (i+1)*theta) and sits at position i + k_max;
+    # rows outside every strip go to the extra position 2*k_max + 1
+    pos = np.floor(margins / theta).astype(np.int64) + k_max
+    pos[(pos < 0) | (pos > 2 * k_max)] = 2 * k_max + 1
+    counts = np.bincount(pos, minlength=2 * k_max + 2)[:-1]
 
     checks: list[TesterCheck] = []
     for i in range(-k_max, k_max + 1):
@@ -693,11 +715,15 @@ def strip_tester(S: LabeledDataset, w: UnitVector, theta: float, cfg: TesterConf
     H = rotation_to_first_axis(w)
     min_count = _min_strip_count(d)
     eye = np.eye(d - 1)
+    # one stable sort lists the rows strip by strip, each strip in row order
+    order = np.argsort(pos.astype(np.min_scalar_type(2 * k_max + 1)), kind="stable")
+    ends = np.cumsum(counts)
     for i in range(-k_max, k_max + 1):
         count = int(counts[i + k_max])
         if count < min_count:
             continue
-        Z = (S.points[idx == i] @ H)[:, 1:]
+        rows = order[ends[i + k_max] - count : ends[i + k_max]]
+        Z = (S.points.take(rows, axis=0) @ H)[:, 1:]
         cov = Z.T @ Z / count
         dev = operator_norm_symmetric(cov - eye)
         checks.append(TesterCheck(f"strip_cov_{i}", float(dev), 0.1, dev <= 0.1))

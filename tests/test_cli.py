@@ -63,6 +63,20 @@ def test_gen_rejects_bad_eta(tmp_path):
     assert not out.exists()  # no partial files on failure
 
 
+@pytest.mark.parametrize("noise, flag", [("massart-const", "--eta"), ("massart-boundary", "--eta"),
+                                         ("agnostic-random", "--opt"), ("agnostic-boundary", "--opt")])
+def test_gen_noise_needs_its_level_flag(tmp_path, capsys, noise, flag):
+    from halflearn.cli import main
+
+    out = tmp_path / "n.csv"
+    argv = ["gen", "--marginal", "gaussian", "--d", "3", "--n", "200", "--noise", noise, "--width", "0.5",
+            "--planted", "random", "--seed", "4", "--out", str(out)]
+    assert main(argv) == 2  # a missing level must not mean noise-free labels
+    assert f"--noise {noise} requires {flag}" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, flag, "0"]) == 0  # an explicit zero level is still valid
+
+
 def test_t1_accept_and_reject(tmp_path):
     good = gen_gaussian(tmp_path)
     rep_path = tmp_path / "rep.json"
@@ -244,3 +258,39 @@ def test_cli_import_is_light_and_pins_blas_threads(tmp_path):
     assert probe["env"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     assert not probe["scipy_after"]
     assert json.loads((tmp_path / "e.json").read_text())["empirical_error"] == pytest.approx(1 / 3)
+
+
+_GAUSSIAN_PATH_PROBE = """
+import json, sys
+import halflearn.cli as cli
+tmp = sys.argv[1]
+gen = ["gen", "--marginal", "gaussian", "--d", "3", "--noise", "agnostic-random", "--opt", "0.05"]
+rcs = [
+    cli.main([*gen, "--n", "40000", "--planted", "random", "--planted-out", tmp + "/w.json", "--seed", "41",
+              "--out", tmp + "/train.csv"]),
+    cli.main([*gen, "--n", "10000", "--planted", tmp + "/w.json", "--seed", "42", "--out", tmp + "/hold.csv"]),
+    cli.main(["learn", "--mode", "agnostic", "--submode", "gaussian", "--train", tmp + "/train.csv",
+              "--holdout", tmp + "/hold.csv", "--epsilon", "0.5", "--seed", "43", "--out", tmp + "/learn.json"]),
+    cli.main(["test", "--tester", "t3", "--data", tmp + "/train.csv", "--w", "1,0,0", "--sigma", "0.3",
+              "--tau", "0.5", "--seed", "44", "--out", tmp + "/t3.json"]),
+]
+scipy_after_gaussian = "scipy" in sys.modules
+rcs.append(cli.main(["test", "--tester", "t1", "--k", "2", "--data", tmp + "/train.csv", "--target", "tilt:0.5",
+                     "--seed", "45", "--out", tmp + "/tilt.json"]))
+print(json.dumps({"rcs": rcs, "scipy_after_gaussian": scipy_after_gaussian,
+                  "scipy_after_tilt": "scipy" in sys.modules}))
+"""
+
+
+def test_gaussian_learn_and_t3_load_no_scipy(tmp_path):
+    # Every in-band count stays at or above testers._CLT_MIN, so t3 calibrates
+    # in closed form; only the tilt target's quadrature then needs scipy.
+    res = subprocess.run([sys.executable, "-c", _GAUSSIAN_PATH_PROBE, str(tmp_path)],
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    probe = json.loads(res.stdout)
+    assert probe["rcs"] == [0, 0, 0, 0, 0], res.stderr
+    assert not probe["scipy_after_gaussian"]
+    assert probe["scipy_after_tilt"]
+    assert json.loads((tmp_path / "learn.json").read_text())["rejected"] is False
+    assert len(json.loads((tmp_path / "t3.json").read_text())["checks"]) > 2  # t2 and then the moments

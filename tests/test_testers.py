@@ -75,6 +75,19 @@ def test_truncated_normal_moments_against_quadrature():
         assert truncated_normal_even_moment(3, sigma) == 0.0
 
 
+def test_lower_gamma_series_against_scipy():
+    # the half-integer orders truncated_normal_even_moment uses for j = 2..16
+    from scipy.special import gammainc
+
+    for a in np.arange(1.5, 9.0, 1.0):
+        for x in np.geomspace(1e-10, 30.0, 121):
+            assert testers._lower_gamma_regularized(a, x) == pytest.approx(gammainc(a, x), rel=1e-13, abs=0)
+    assert testers._lower_gamma_regularized(2.5, 0.0) == 0.0
+    assert testers._lower_gamma_regularized(8.5, 500.0) == pytest.approx(1.0, rel=1e-14)
+    with pytest.raises(ValueError):
+        testers._lower_gamma_regularized(8.5, 501.0)  # the series would overflow
+
+
 def test_rotation_maps_direction_to_first_axis():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -91,6 +104,19 @@ def test_monomial_means_against_brute_force(degrees):
     alphas = [a for k in degrees for a in exponent_tuples(3, k)]
     brute = [np.mean(np.prod(X ** np.array(a), axis=1)) for a in alphas]
     assert _monomial_means(X, alphas) == pytest.approx(brute, rel=1e-12)
+
+
+def test_monomial_means_ignore_memory_layout():
+    # the Gram and power-table paths give the same bits for C-order,
+    # Fortran-order and strided-view copies of one matrix
+    big = np.random.default_rng(106).standard_normal((6002, 8))
+    view = big[::2, 1::2]
+    X = np.ascontiguousarray(view)
+    for degrees in ((2,), (4,), (6,), (1, 2, 3, 4), (2, 5, 8)):
+        alphas = [a for k in degrees for a in exponent_tuples(4, k)]
+        ref = _monomial_means(X, alphas)
+        assert np.array_equal(_monomial_means(np.asfortranarray(X), alphas), ref)
+        assert np.array_equal(_monomial_means(view, alphas), ref)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +215,20 @@ def test_t2_rejects_empty_band():
     rep = band_mass_tester(ds, project_to_sphere([1.0, 0.0]), 0.5, CFG, TARGET)
     assert not rep.accepted
     assert next(c for c in rep.checks if c.name == "band_mass_fraction").measured == 0.0
+
+
+def test_t2_verdict_permutation_invariant():
+    ds = gaussian_dataset(20_000, 3, seed=213)
+    w = random_unit(3, np.random.default_rng(213))
+    perm = np.random.default_rng(2).permutation(ds.n)
+    shuffled = LabeledDataset(ds.points[perm], ds.labels[perm])
+    for sigma in (0.05, 0.5):
+        rep = band_mass_tester(ds, w, sigma, CFG, TARGET)
+        rep2 = band_mass_tester(shuffled, w, sigma, CFG, TARGET)
+        assert rep.accepted == rep2.accepted
+        assert [(c.name, c.measured, c.passed) for c in rep.checks] == [
+            (c.name, c.measured, c.passed) for c in rep2.checks
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +446,42 @@ def test_t4_rejects_inflated_strip_covariance():
     assert not rep.accepted
     cov0 = next(c for c in rep.checks if c.name == "strip_cov_0")
     assert cov0.measured == pytest.approx(3.0, abs=0.3)
+
+
+def test_t4_verdict_permutation_invariant():
+    # inflated covariance in one strip, so the report mixes passing and failing checks
+    ds = gaussian_dataset(100_000, 4, seed=233)
+    w = project_to_sphere([1.0, 0, 0, 0])
+    X = ds.points.copy()
+    X[np.ix_((X[:, 0] >= 0.0) & (X[:, 0] < 0.1), [1, 2, 3])] *= 2.0
+    perm = np.random.default_rng(3).permutation(ds.n)
+    for theta in (0.1, 0.5):
+        rep = strip_tester(LabeledDataset(X, ds.labels), w, theta, CFG)
+        rep2 = strip_tester(LabeledDataset(X[perm], ds.labels[perm]), w, theta, CFG)
+        assert rep.accepted == rep2.accepted
+        assert [(c.name, c.passed) for c in rep.checks] == [(c.name, c.passed) for c in rep2.checks]
+    assert not rep.accepted
+
+
+def test_t4_strip_covariances_against_brute_force():
+    ds = gaussian_dataset(200_000, 4, seed=234)
+    for theta, seed in ((0.1, 234), (0.5, 235), (math.pi / 4.0, 236)):
+        w = random_unit(4, np.random.default_rng(seed))
+        H = rotation_to_first_axis(w)
+        k_max = math.ceil(math.sqrt(2.0 * math.log(1.0 / theta)) / theta)
+        idx = np.floor(ds.points @ w.coords / theta).astype(np.int64)
+        ref = {}
+        for i in range(-k_max, k_max + 1):
+            count = int(np.count_nonzero(idx == i))
+            if count >= testers._min_strip_count(4):
+                Z = (ds.points[idx == i] @ H)[:, 1:]
+                ref[f"strip_cov_{i}"] = operator_norm_symmetric(Z.T @ Z / count - np.eye(3))
+        got = {c.name: c.measured for c in strip_tester(ds, w, theta, CFG).checks if c.name.startswith("strip_cov")}
+        assert len(ref) >= 3 and got.keys() == ref.keys()
+        # the same rows in the same order give the same bits; an unordered
+        # grouping of a strip's rows would move the last digits
+        for name, dev in ref.items():
+            assert got[name] == dev, name
 
 
 def test_t4_theta_range():

@@ -318,10 +318,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "learn":
             return _cmd_learn(args)
         return _cmd_eval(args)
-    except UsageExit as exc:
-        print(f"halflearn: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (UsageExit, OSError, json.JSONDecodeError) as exc:
         print(f"halflearn: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # domain errors (dimension, mode, validation)

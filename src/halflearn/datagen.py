@@ -8,7 +8,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import LabeledDataset, RngSeed, UnitVector, halfspace_signs, project_to_sphere
+from .core import LabeledDataset, RngSeed, UnitVector, project_to_sphere
 from .errors import DimensionMismatchError, WrongDimensionError
 
 _STREAM_MARGINAL = 11
@@ -217,11 +217,6 @@ def brute_force_opt_2d(S: LabeledDataset) -> tuple[float, UnitVector]:
     w_opt = project_to_sphere(np.array([np.cos(best_phi), np.sin(best_phi)]))
     exact = error_at(best_phi) / S.n
     return exact, w_opt
-
-
-def disagreement(S: LabeledDataset, u: UnitVector, v: UnitVector) -> float:
-    """Fraction of points where the two halfspaces disagree."""
-    return float(np.mean(halfspace_signs(S.points, u) != halfspace_signs(S.points, v)))
 
 
 # ---------------------------------------------------------------------------

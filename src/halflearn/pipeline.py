@@ -292,19 +292,14 @@ def learn_agnostic(
     tester_cfg = replace(cfg.tester_cfg, delta=cfg.delta)
 
     reports: list[TesterReport] = []
-    moment_degrees = [2]
-    if cfg.mode == "slc_fixed_k" and cfg.k > 2:
-        moment_degrees.append(cfg.k)
-    swept_ks = [2]
     if cfg.mode == "slc_auto_k":
-        k_top = math.ceil(math.log(d) ** 2)
-        extra = [k for k in range(4, k_top + 1, 2)]
-        moment_degrees.extend(extra)
-        swept_ks.extend(extra)
+        swept_ks = list(range(2, max(math.ceil(math.log(d) ** 2), 2) + 1, 2))
     elif cfg.mode == "slc_fixed_k":
         swept_ks = [cfg.k]
+    else:
+        swept_ks = [2]
 
-    for deg in moment_degrees:
+    for deg in sorted({2, *swept_ks}):
         rep = moment_tester(S_train, deg, tester_cfg, target)
         reports.append(rep)
         if not rep.accepted:

@@ -14,10 +14,10 @@ Thresholds come in two regimes.  ``theory`` mode uses the asymptotic additive
 slacks (astronomically strict at desk-scale n; retained for contract tests).
 ``calibrated`` mode (default) replaces each threshold with an inflated
 quantile of the same statistic under the target at the same sample size,
-computed by a seeded oracle and cached.  From ``_CLT_MIN`` rows on, the t1
-oracle and the Gaussian t3 oracle draw each deviation from its CLT limit,
-whose variance M(2 alpha) - M(alpha)^2 is exact; smaller samples and custom
-in-band targets are calibrated by resampling rows.
+from a seeded, cached oracle.  ``_null_quantiles`` serves t1 and the Gaussian
+t3: from ``_CLT_MIN`` rows on it draws each deviation from its CLT limit,
+whose variance M(2 alpha) - M(alpha)^2 is exact, and below it samples rows.
+Custom in-band targets come from one rejection-sampled pool.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import functools
 import math
 import zlib
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -242,6 +242,17 @@ def _report(checks: list[TesterCheck], n: int) -> TesterReport:
     return TesterReport(accepted=all(c.passed for c in checks), checks=tuple(checks), samples_used=n)
 
 
+def _moment_checks(
+    prefix: str, alphas: list[tuple[int, ...]], emp: np.ndarray, tgt: np.ndarray, thr: np.ndarray
+) -> list[TesterCheck]:
+    """One check per alpha, named prefix + its exponents: |emp - tgt| <= thr."""
+    dev = np.abs(emp - tgt)
+    return [
+        TesterCheck(prefix + "_".join(map(str, a)), float(dv), float(th), bool(dv <= th))
+        for a, dv, th in zip(alphas, dev, thr)
+    ]
+
+
 @dataclass(frozen=True)
 class TesterConfig:
     slack_mode: str = "calibrated"
@@ -406,11 +417,6 @@ def _sample_gaussian_band_rotated(m: int, d: int, sigma: float, rng: np.random.G
 # Calibration oracle (thresholds for calibrated mode)
 
 
-def _effective_reps(cfg: TesterConfig, per_rep_cost: int) -> int:
-    budget = max(_MIN_REPS, int(_CALIBRATION_BUDGET // max(per_rep_cost, 1)))
-    return min(cfg.calibration_reps, budget)
-
-
 def _order_statistic(devs: np.ndarray, delta: float, n_checks: int) -> np.ndarray:
     reps = devs.shape[0]
     rank = min(math.ceil((1.0 - delta / n_checks) * reps), reps)
@@ -421,6 +427,22 @@ def _label_tag(label: str) -> int:
     return zlib.crc32(label.encode("utf-8"))
 
 
+def _cached_oracle(key: tuple, stream: tuple, per_rep_cost: int, cfg: TesterConfig, fill: Callable) -> object:
+    """The one cache site of the calibration oracles: picks the replicate
+    count R from the budget, extends the caller's key with (delta, R, seed)
+    and on a miss stores ``fill(R, rng)``, rng seeded from stream plus R."""
+    R = min(cfg.calibration_reps, max(_MIN_REPS, int(_CALIBRATION_BUDGET // max(per_rep_cost, 1))))
+    key = (*key, cfg.delta, R, cfg.calibration_seed.seed)
+    if key not in _ORACLE_CACHE:
+        _ORACLE_CACHE[key] = fill(R, cfg.calibration_seed.generator(*stream, R))
+    return _ORACLE_CACHE[key]
+
+
+def _replicate_devs(blocks: Iterable[np.ndarray], alphas: list[tuple[int, ...]], tgt: np.ndarray) -> np.ndarray:
+    """|monomial means - tgt| of each row block, one replicate per row."""
+    return np.array([np.abs(_monomial_means(X, alphas) - tgt) for X in blocks])
+
+
 def _null_variance(moment: Callable[[tuple[int, ...]], float], alphas: list[tuple[int, ...]]) -> np.ndarray:
     """Var x^alpha = M(2 alpha) - M(alpha)^2 per alpha, M the null law's moments."""
     first = np.array([moment(a) for a in alphas])
@@ -428,59 +450,37 @@ def _null_variance(moment: Callable[[tuple[int, ...]], float], alphas: list[tupl
     return second - first**2
 
 
-def _clt_devs(var: np.ndarray, m: int, R: int, rng: np.random.Generator) -> np.ndarray:
-    """R replicates of |deviation| of each monomial mean over m rows, drawn
-    from its CLT limit N(0, var/m).  _order_statistic sorts each column on its
-    own, so only the marginal laws matter and no covariance is needed."""
-    return np.abs(rng.standard_normal((R, len(var)))) * np.sqrt(var / m)
-
-
-def _global_null_quantiles(
-    target: TargetMarginal, d: int, k: int, n: int, alphas: list[tuple[int, ...]], cfg: TesterConfig
+def _null_quantiles(
+    key: tuple,
+    stream: tuple,
+    m: int,
+    alphas: list[tuple[int, ...]],
+    moment: Callable[[tuple[int, ...]], float],
+    sample: Callable[[int, np.random.Generator], np.ndarray],
+    cfg: TesterConfig,
 ) -> np.ndarray:
-    """Per-alpha order statistics of |empirical - target| moment deviation
-    under the target at sample size n."""
-    N = len(alphas)
-    R = _effective_reps(cfg, n * N)
-    key = ("t1", target.label, d, k, n, cfg.delta, R, cfg.calibration_seed.seed)
-    if key not in _ORACLE_CACHE:
-        rng = cfg.calibration_seed.generator(1, _label_tag(target.label), d, k, n, R)
-        if n >= _CLT_MIN:
-            devs = _clt_devs(_null_variance(lambda a: target.moment(MultiIndex(a)), alphas), n, R, rng)
+    """Per-alpha order statistics of |mean of x^alpha over m rows - M(alpha)|
+    under a null law with moments M and row sampler ``sample(m, rng)``.
+
+    From _CLT_MIN rows on each replicate deviation is drawn from its CLT limit
+    N(0, Var/m), Var from _null_variance; _order_statistic sorts each column
+    on its own, so only the marginal laws matter and no covariance is needed.
+    Below, R blocks of m rows are sampled."""
+
+    def fill(R: int, rng: np.random.Generator) -> np.ndarray:
+        if m >= _CLT_MIN:
+            devs = np.abs(rng.standard_normal((R, len(alphas)))) * np.sqrt(_null_variance(moment, alphas) / m)
         else:
-            tgt = np.array([target.moment(MultiIndex(a)) for a in alphas])
-            devs = np.empty((R, N))
-            for r in range(R):
-                X = target.sample(n, d, rng)
-                devs[r] = np.abs(_monomial_means(X, alphas) - tgt)
-        _ORACLE_CACHE[key] = _order_statistic(devs, cfg.delta, N)
-    return _ORACLE_CACHE[key]
+            tgt = np.array([moment(a) for a in alphas])
+            devs = _replicate_devs((sample(m, rng) for _ in range(R)), alphas, tgt)
+        return _order_statistic(devs, cfg.delta, len(alphas))
+
+    return _cached_oracle(key, stream, m * len(alphas), cfg, fill)
 
 
 def _bucket_count(m: int) -> int:
     step = math.log(1.25)
     return int(round(math.exp(round(math.log(m) / step) * step)))
-
-
-def _band_null_quantiles_gaussian(
-    d: int, sigma: float, m_bucket: int, alphas: list[tuple[int, ...]], targets: np.ndarray, cfg: TesterConfig
-) -> np.ndarray:
-    N = len(alphas)
-    R = _effective_reps(cfg, m_bucket * N)
-    key = ("t3", "standard_gaussian", d, len(alphas), float(sigma), m_bucket, cfg.delta, R, cfg.calibration_seed.seed)
-    if key not in _ORACLE_CACHE:
-        sigma_bits = int(np.float64(sigma).view(np.uint64))
-        rng = cfg.calibration_seed.generator(3, d, N, sigma_bits, m_bucket, R)
-        if m_bucket >= _CLT_MIN:
-            var = _null_variance(lambda a: _band_gaussian_moment(a, sigma), alphas)
-            devs = _clt_devs(var, m_bucket, R, rng)
-        else:
-            devs = np.empty((R, N))
-            for r in range(R):
-                Xr = _sample_gaussian_band_rotated(m_bucket, d, sigma, rng)
-                devs[r] = np.abs(_monomial_means(Xr, alphas) - targets)
-        _ORACLE_CACHE[key] = _order_statistic(devs, cfg.delta, N)
-    return _ORACLE_CACHE[key]
 
 
 def _band_pool_custom(
@@ -502,6 +502,26 @@ def _band_pool_custom(
     return np.concatenate(rows, axis=0)[:total]
 
 
+def _custom_band_oracle(
+    target: TargetMarginal, w: UnitVector, sigma: float, m_b: int, alphas: list[tuple[int, ...]], cfg: TesterConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """In-band targets and null quantiles of a custom target, both in w's
+    frame and from one rejection-sampled pool: its first million rows give
+    the targets, and R further blocks of m_b rows the replicates."""
+    oracle_size = 1_000_000
+
+    def fill(R: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        H = rotation_to_first_axis(w)
+        pool = _band_pool_custom(target, w, sigma, oracle_size + R * m_b, rng)
+        tgt = _monomial_means(pool[:oracle_size] @ H, alphas)
+        blocks = (pool[oracle_size + r * m_b : oracle_size + (r + 1) * m_b] @ H for r in range(R))
+        return tgt, _order_statistic(_replicate_devs(blocks, alphas, tgt), cfg.delta, len(alphas))
+
+    key = ("t3c", target.label, w.coords.tobytes(), float(sigma), len(alphas), m_b)
+    stream = (4, _label_tag(target.label), _label_tag(w.coords.tobytes().hex()), m_b)
+    return _cached_oracle(key, stream, m_b * len(alphas), cfg, fill)
+
+
 # ---------------------------------------------------------------------------
 # Tester t1: global degree-k moment match
 
@@ -518,18 +538,16 @@ def moment_tester(S: LabeledDataset, k: int, cfg: TesterConfig, target: TargetMa
     if count_multi_indices(d, k) > MULTI_INDEX_CAP:
         raise SizeLimitError(f"degree-{k} moment enumeration exceeds cap in dimension {d}")
     alphas = list(exponent_tuples(d, k))
-    emp = _monomial_means(S.points, alphas)
-    tgt = np.array([target.moment(MultiIndex(a)) for a in alphas])
-    dev = np.abs(emp - tgt)
+    moment = lambda a: target.moment(MultiIndex(a))
+    tgt = np.array([moment(a) for a in alphas])
     if cfg.slack_mode == "theory":
         thr = np.full(len(alphas), 1.0 / d**k)
     else:
-        thr = cfg.calibration_inflation * _global_null_quantiles(target, d, k, S.n, alphas, cfg)
-    checks = [
-        TesterCheck("moment_" + "_".join(map(str, a)), float(dv), float(th), bool(dv <= th))
-        for a, dv, th in zip(alphas, dev, thr)
-    ]
-    return _report(checks, S.n)
+        key = ("t1", target.label, d, k, S.n)
+        stream = (1, _label_tag(target.label), d, k, S.n)
+        sample = lambda n, rng: target.sample(n, d, rng)
+        thr = cfg.calibration_inflation * _null_quantiles(key, stream, S.n, alphas, moment, sample, cfg)
+    return _report(_moment_checks("moment_", alphas, _monomial_means(S.points, alphas), tgt, thr), S.n)
 
 
 # ---------------------------------------------------------------------------
@@ -616,70 +634,24 @@ def band_moment_tester(
     Xb = S.points.take(np.flatnonzero(in_band), axis=0) @ H  # H is symmetric, so rows become H x
     emp = _monomial_means(Xb, alphas)
 
-    if target.kind == "standard_gaussian":
-        tgt = np.array([_band_gaussian_moment(a, sigma) for a in alphas])
-        if cfg.slack_mode == "theory":
-            thr = np.full(len(alphas), tau * float(d) ** (-2 * k_eff))
-        else:
-            m_b = _bucket_count(m)
-            base = _band_null_quantiles_gaussian(d, sigma, m_b, alphas, tgt, cfg)
-            thr = cfg.calibration_inflation * base * math.sqrt(m_b / m)
-    else:
-        tgt, thr = _custom_band_targets(target, w, sigma, m, alphas, cfg, tau, k_eff)
-
-    dev = np.abs(emp - tgt)
-    checks.extend(
-        TesterCheck("band_moment_" + "_".join(map(str, a)), float(dv), float(th), bool(dv <= th))
-        for a, dv, th in zip(alphas, dev, thr)
-    )
-    return _report(checks, S.n)
-
-
-def _custom_band_targets(
-    target: TargetMarginal,
-    w: UnitVector,
-    sigma: float,
-    m: int,
-    alphas: list[tuple[int, ...]],
-    cfg: TesterConfig,
-    tau: float,
-    k_eff: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo conditional targets (and thresholds) for custom targets."""
-    N = len(alphas)
-    oracle_size = 1_000_000
     m_b = _bucket_count(m)
-    R = _effective_reps(cfg, m_b * N)
-    key = (
-        "t3c",
-        target.label,
-        w.coords.tobytes(),
-        float(sigma),
-        N,
-        m_b,
-        cfg.delta,
-        R,
-        cfg.calibration_seed.seed,
-    )
-    if key not in _ORACLE_CACHE:
-        rng = cfg.calibration_seed.generator(
-            4, _label_tag(target.label), _label_tag(w.coords.tobytes().hex()), m_b, R
-        )
-        H = rotation_to_first_axis(w)
-        pool = _band_pool_custom(target, w, sigma, oracle_size + R * m_b, rng)
-        tgt = _monomial_means(pool[:oracle_size] @ H, alphas)
-        devs = np.empty((R, N))
-        for r in range(R):
-            block = pool[oracle_size + r * m_b : oracle_size + (r + 1) * m_b] @ H
-            devs[r] = np.abs(_monomial_means(block, alphas) - tgt)
-        _ORACLE_CACHE[key] = np.concatenate([tgt[None, :], _order_statistic(devs, cfg.delta, N)[None, :]])
-    cached = _ORACLE_CACHE[key]
-    tgt = cached[0]
-    if cfg.slack_mode == "theory":
-        thr = np.full(N, tau * float(w.d) ** (-2 * k_eff))
+    if target.kind == "custom":
+        tgt, q = _custom_band_oracle(target, w, sigma, m_b, alphas, cfg)
     else:
-        thr = cfg.calibration_inflation * cached[1] * math.sqrt(m_b / m)
-    return tgt, thr
+        band_moment = lambda a: _band_gaussian_moment(a, sigma)
+        tgt = np.array([band_moment(a) for a in alphas])
+        if cfg.slack_mode == "calibrated":
+            N = len(alphas)
+            key = ("t3", "standard_gaussian", d, N, float(sigma), m_b)
+            stream = (3, d, N, int(np.float64(sigma).view(np.uint64)), m_b)
+            sample = lambda size, rng: _sample_gaussian_band_rotated(size, d, sigma, rng)
+            q = _null_quantiles(key, stream, m_b, alphas, band_moment, sample, cfg)
+    if cfg.slack_mode == "theory":
+        thr = np.full(len(alphas), tau * float(d) ** (-2 * k_eff))
+    else:
+        thr = cfg.calibration_inflation * q * math.sqrt(m_b / m)
+    checks.extend(_moment_checks("band_moment_", alphas, emp, tgt, thr))
+    return _report(checks, S.n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 # One BLAS/OpenMP thread, set before numpy loads, so results and timings do
 # not depend on the machine's core count.  An explicit setting wins.
@@ -11,6 +12,18 @@ import pytest  # noqa: E402
 from halflearn.core import LabeledDataset, RngSeed, UnitVector, project_to_sphere  # noqa: E402
 from halflearn.datagen import MarginalSpec, NoiseSpec, apply_noise, sample_marginal  # noqa: E402
 from halflearn.surrogate import SurrogateParams, empirical_surrogate_loss  # noqa: E402
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def child_env(drop: tuple[str, ...] = ()) -> dict[str, str]:
+    """Environment for a child Python process: this one's without the names in
+    ``drop``, with the package source first on PYTHONPATH, so a child started
+    with ``python -m halflearn.cli`` or ``-c "import halflearn"`` finds the
+    package in a checkout without an install."""
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="session")

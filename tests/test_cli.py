@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -13,6 +12,8 @@ from halflearn.schemas import (
     TESTER_REPORT_SCHEMA,
 )
 
+from conftest import child_env
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -20,6 +21,7 @@ def run_cli(*args):
         capture_output=True,
         text=True,
         timeout=600,
+        env=child_env(),
     )
 
 
@@ -247,8 +249,7 @@ def test_cli_import_is_light_and_pins_blas_threads(tmp_path):
     data.write_text("y,x1,x2\n1,1.0,0.5\n-1,-1.0,0.25\n1,-0.5,2.0\n", encoding="utf-8")
     hyp = tmp_path / "w.json"
     hyp.write_text('{"coords": [1.0, 0.0]}', encoding="utf-8")
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = child_env(drop=("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"))
     res = subprocess.run([sys.executable, "-c", _FRESH_CLI_PROBE, str(hyp), str(data), str(tmp_path / "e.json")],
                          capture_output=True, text=True, timeout=120, env=env)
     assert res.returncode == 0, res.stderr
@@ -286,7 +287,7 @@ def test_gaussian_learn_and_t3_load_no_scipy(tmp_path):
     # Every in-band count stays at or above testers._CLT_MIN, so t3 calibrates
     # in closed form; only the tilt target's quadrature then needs scipy.
     res = subprocess.run([sys.executable, "-c", _GAUSSIAN_PATH_PROBE, str(tmp_path)],
-                         capture_output=True, text=True, timeout=300)
+                         capture_output=True, text=True, timeout=300, env=child_env())
     assert res.returncode == 0, res.stderr
     probe = json.loads(res.stdout)
     assert probe["rcs"] == [0, 0, 0, 0, 0], res.stderr

@@ -6,6 +6,7 @@ import pytest
 from halflearn.core import LabeledDataset, RngSeed, project_to_sphere
 from halflearn.datagen import MarginalSpec, NoiseSpec, apply_noise, sample_marginal
 from halflearn.errors import EmptyCandidateListError, ModeMismatchError, SizeLimitError
+from halflearn import pipeline
 from halflearn.pipeline import (
     AgnosticConfig,
     MassartConfig,
@@ -257,6 +258,24 @@ def test_learn_agnostic_auto_k_sweeps_even_degrees():
     assert not res.rejected
     # d=3: ceil(ln(3)^2) = 2, so only the always-on degree-2 test runs
     assert len([r for r in res.tester_reports if r.checks[0].name.startswith("moment_")]) == 1
+
+
+def test_learn_agnostic_auto_k_runs_degrees_2_and_4_at_d6(monkeypatch):
+    # d=6: ceil(ln(6)^2) = 4, so t1 runs at degrees 2 and 4.  Uniform
+    # coordinates of unit variance match the Gaussian at degree 2 but have
+    # E x^4 = 1.8, not 3, so the run rejects at degree 4 before any PSGD.
+    def no_psgd(*args, **kwargs):
+        raise AssertionError("PSGD ran after a failed moment test")
+
+    monkeypatch.setattr(pipeline, "psgd_candidates", no_psgd)
+    X = np.random.default_rng(634).uniform(-math.sqrt(3.0), math.sqrt(3.0), (50_000, 6))
+    train = LabeledDataset(X, np.ones(len(X)))
+    cfg = AgnosticConfig(epsilon=0.6, delta=0.05, mode="slc_auto_k", seed=RngSeed(635))
+    res = learn_agnostic(train, train, cfg, TARGET)
+    assert res.rejected and res.candidates_examined == 0
+    degrees = [{sum(int(p) for p in c.name.split("_")[1:]) for c in r.checks} for r in res.tester_reports]
+    assert degrees == [{2}, {4}]
+    assert [r.accepted for r in res.tester_reports] == [True, False]
 
 
 @pytest.mark.slow

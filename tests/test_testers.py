@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import subprocess
@@ -37,7 +38,7 @@ from halflearn.testers import (
     truncated_normal_even_moment,
 )
 
-from conftest import gaussian_dataset, random_unit
+from conftest import child_env, gaussian_dataset, random_unit
 
 TARGET = standard_gaussian_target()
 CFG = TesterConfig()
@@ -308,12 +309,40 @@ def test_t3_custom_target_path():
     assert rep.to_json_dict() == rep2.to_json_dict()  # cached oracle is deterministic
 
 
+@pytest.mark.parametrize("tau, k", [(0.8, 2), (0.5, 4)])
+@pytest.mark.parametrize("kind", ["gaussian", "tilt"])
+def test_t3_theory_thresholds_are_tau_over_d_to_2k(kind, tau, k):
+    d = 3
+    if kind == "gaussian":
+        target, ds = TARGET, gaussian_dataset(20_000, d, seed=226)
+    else:
+        target = tilted_gaussian_target(0.5, d)
+        ds = sample_marginal(MarginalSpec("slc_exp_tilt", d, lam=0.5), 20_000, RngSeed(227))
+    assert testers.band_moment_degree(tau, testers.T3_DEGREE_CAP) == k
+    cfg = TesterConfig(slack_mode="theory", calibration_reps=2)
+    rep = band_moment_tester(ds, project_to_sphere([1.0, 0.5, -0.2]), 0.4, tau, cfg, target)
+    band = [c for c in rep.checks if c.name.startswith("band_moment_")]
+    assert len(band) == sum(len(list(exponent_tuples(d, deg))) for deg in range(1, k + 1))
+    assert {c.threshold for c in band} == {tau * d ** (-2.0 * k)}
+
+
 # ---------------------------------------------------------------------------
 # calibration oracles
 
 
 def _band_alphas(d: int) -> list[tuple[int, ...]]:
     return [a for deg in range(1, 5) for a in exponent_tuples(d, deg)]
+
+
+def gaussian_band_quantiles(d, sigma, m, alphas, cfg):
+    """The Gaussian t3 call of the null-quantile oracle, with the key and seed
+    stream band_moment_tester builds."""
+    N = len(alphas)
+    key = ("t3", "standard_gaussian", d, N, float(sigma), m)
+    stream = (3, d, N, int(np.float64(sigma).view(np.uint64)), m)
+    moment = lambda a: testers._band_gaussian_moment(a, sigma)
+    sample = lambda size, rng: testers._sample_gaussian_band_rotated(size, d, sigma, rng)
+    return testers._null_quantiles(key, stream, m, alphas, moment, sample, cfg)
 
 
 @pytest.fixture()
@@ -361,7 +390,6 @@ def test_clt_cutoff_matches_sampled_thresholds(monkeypatch, empty_oracle_cache):
     d, sigma = 4, 0.0417
     alphas = _band_alphas(d)
     degrees = np.array([sum(a) for a in alphas])
-    targets = np.array([testers._band_gaussian_moment(a, sigma) for a in alphas])
     cutoff = testers._CLT_MIN
 
     def ratios(m: int) -> np.ndarray:
@@ -371,7 +399,7 @@ def test_clt_cutoff_matches_sampled_thresholds(monkeypatch, empty_oracle_cache):
             q = {}
             for path, clt_min in (("closed", m), ("sampled", m + 1)):
                 monkeypatch.setattr(testers, "_CLT_MIN", clt_min)
-                q[path] = testers._band_null_quantiles_gaussian(d, sigma, m, alphas, targets, cfg)
+                q[path] = gaussian_band_quantiles(d, sigma, m, alphas, cfg)
                 testers.clear_oracle_cache()
             out.append(q["closed"] / q["sampled"])
         return np.array(out)
@@ -382,35 +410,42 @@ def test_clt_cutoff_matches_sampled_thresholds(monkeypatch, empty_oracle_cache):
     assert np.median(ratios(cutoff // 20)[:, degrees == 4]) < 0.95
 
 
-def test_null_quantiles_identical_in_fresh_process(empty_oracle_cache):
-    # both oracles, on both sides of the cutoff: the thresholds are a pure
-    # function of their arguments and the calibration seed
-    script = """
-import numpy as np
-from halflearn import testers
-from halflearn.core import exponent_tuples
-
-cfg = testers.TesterConfig()
-target = testers.standard_gaussian_target()
-t1 = list(exponent_tuples(3, 4))
-t3 = [a for deg in range(1, 5) for a in exponent_tuples(3, deg)]
-tgt = np.array([testers._band_gaussian_moment(a, 0.3) for a in t3])
-for n in (500, 20_000):
-    print(testers._global_null_quantiles(target, 3, 4, n, t1, cfg).tobytes().hex())
-for m in (testers._bucket_count(500), testers._bucket_count(9_000)):
-    print(testers._band_null_quantiles_gaussian(3, 0.3, m, t3, tgt, cfg).tobytes().hex())
-"""
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=600)
-    assert res.returncode == 0, res.stderr
+def oracle_outputs() -> list[str]:
+    """Hex bytes of the t1 and Gaussian t3 quantiles on both sides of the
+    cutoff, and of the custom-target t3 oracle's targets and quantiles."""
+    cfg = testers.TesterConfig()
+    target = testers.standard_gaussian_target()
     t1 = list(exponent_tuples(3, 4))
-    t3 = _band_alphas(3)
-    tgt = np.array([testers._band_gaussian_moment(a, 0.3) for a in t3])
-    here = [testers._global_null_quantiles(TARGET, 3, 4, n, t1, CFG) for n in (500, 20_000)]
-    here += [
-        testers._band_null_quantiles_gaussian(3, 0.3, m, t3, tgt, CFG)
-        for m in (testers._bucket_count(500), testers._bucket_count(9_000))
-    ]
-    assert res.stdout.split() == [q.tobytes().hex() for q in here]
+    t3 = [a for deg in range(1, 5) for a in exponent_tuples(3, deg)]
+    out = []
+    for n in (500, 20_000):
+        key, stream = ("t1", target.label, 3, 4, n), (1, testers._label_tag(target.label), 3, 4, n)
+        moment = lambda a: target.moment(MultiIndex(a))
+        sample = lambda size, rng: target.sample(size, 3, rng)
+        out.append(testers._null_quantiles(key, stream, n, t1, moment, sample, cfg))
+    for m in (testers._bucket_count(500), testers._bucket_count(9_000)):
+        out.append(gaussian_band_quantiles(3, 0.3, m, t3, cfg))
+    tilt = testers.tilted_gaussian_target(0.5, 3)
+    w = project_to_sphere([1.0, 0.5, -0.2])
+    cfg_small = testers.TesterConfig(calibration_reps=20)
+    out.extend(testers._custom_band_oracle(tilt, w, 0.3, testers._bucket_count(500), t3, cfg_small))
+    return [q.tobytes().hex() for q in out]
+
+
+def test_null_quantiles_identical_in_fresh_process(empty_oracle_cache):
+    # the oracle outputs are a pure function of their arguments and the
+    # calibration seed: a fresh process running the same code agrees bit for bit
+    script = "\n".join([
+        "import numpy as np",
+        "from halflearn import testers",
+        "from halflearn.core import MultiIndex, exponent_tuples, project_to_sphere",
+        inspect.getsource(gaussian_band_quantiles),
+        inspect.getsource(oracle_outputs),
+        "print(' '.join(oracle_outputs()))",
+    ])
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=600, env=child_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == oracle_outputs()
 
 
 # ---------------------------------------------------------------------------

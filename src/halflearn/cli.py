@@ -247,6 +247,10 @@ def _cmd_learn(args) -> int:
     from .core import RngSeed
     from .datagen import read_dataset_csv
 
+    readers = {"--eta": ("mode", "massart"), "--submode": ("mode", "agnostic"), "--k": ("submode", "slc-fixed-k")}
+    for flag, (opt, value) in readers.items():
+        if getattr(args, flag[2:]) is not None and getattr(args, opt) != value:
+            raise UsageExit(f"{flag} is read only with --{opt} {value}")
     train = read_dataset_csv(args.train)
     holdout = read_dataset_csv(args.holdout)
     seed = RngSeed(args.seed)

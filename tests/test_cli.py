@@ -203,6 +203,25 @@ def test_learn_agnostic_cli_and_mode_mismatch(tmp_path):
     assert res.returncode == 2  # missing --submode
 
 
+@pytest.mark.parametrize("mode_flags, flag", [
+    (("--mode", "agnostic", "--submode", "gaussian", "--eta", "0.1"), "--eta"),
+    (("--mode", "massart", "--eta", "0.1", "--submode", "gaussian"), "--submode"),
+    (("--mode", "massart", "--eta", "0.1", "--k", "4"), "--k"),
+    (("--mode", "agnostic", "--submode", "slc-auto-k", "--k", "4"), "--k"),
+    (("--mode", "agnostic", "--submode", "gaussian", "--k", "2"), "--k"),
+])
+def test_learn_rejects_flags_its_mode_does_not_read(tmp_path, capsys, mode_flags, flag):
+    from halflearn.cli import main
+
+    out = tmp_path / "r.json"
+    # the flags are checked before the (here missing) data files are read
+    argv = ["learn", *mode_flags, "--train", str(tmp_path / "t.csv"), "--holdout", str(tmp_path / "h.csv"),
+            "--epsilon", "0.5", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"halflearn: {flag} is read only with" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_oracle_2d(tmp_path):
     data = tmp_path / "d2.csv"
     planted = tmp_path / "w2.json"

@@ -1,12 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from halflearn.core import LabeledDataset, RngSeed, project_to_sphere
 from halflearn.datagen import MarginalSpec, NoiseSpec, apply_noise, sample_marginal
 from halflearn.errors import EmptyCandidateListError, ModeMismatchError, SizeLimitError
-from halflearn import pipeline
+from halflearn import pipeline, testers
 from halflearn.pipeline import (
     AgnosticConfig,
     MassartConfig,
@@ -172,13 +175,13 @@ def test_learners_spend_their_own_delta(monkeypatch):
     assert want_t1 != moment_tester(train, 2, TesterConfig(), TARGET)
 
     vet_cfgs = []
-    original = pl.band_mass_tester
+    original = pl.band_moment_tester
 
-    def spy(S, w, sigma, tcfg, target):
+    def spy(S, w, sigma, tau, tcfg, target):
         vet_cfgs.append(tcfg)
-        return original(S, w, sigma, tcfg, target)
+        return original(S, w, sigma, tau, tcfg, target)
 
-    monkeypatch.setattr(pl, "band_mass_tester", spy)
+    monkeypatch.setattr(pl, "band_moment_tester", spy)
     res = pl.learn_massart(train, hold, MassartConfig(eta=0.1, epsilon=0.5, delta=0.01, seed=RngSeed(636)), TARGET)
     assert not res.rejected
     assert res.tester_reports[0] == want_t1
@@ -192,6 +195,46 @@ def test_learners_spend_their_own_delta(monkeypatch):
     res = pl.learn_agnostic(aniso, aniso, cfg, TARGET)
     assert res.rejected and res.candidates_examined == 0
     assert res.tester_reports == (moment_tester(aniso, 2, TesterConfig(delta=0.01), TARGET),)
+
+
+@given(
+    st.integers(2, 5),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.3, 0.9),
+    st.floats(1.0, 1.15),
+    st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+@example(d=3, seed=277638934, sigma=0.5586284528574792, stretch=1.0, strips=False)  # see the last remark
+def test_vetting_a_candidate_or_its_negation_gives_the_same_verdicts(d, seed, sigma, stretch, strips):
+    # _vet_pairs band-tests only the candidate and gives its negation the same
+    # reports.  Vetting -w as the candidate, in the frame diag(-1, I) H(w) that
+    # maps -w to e1, must then give w's band reports bit for bit and the same
+    # verdicts.  -w's own Householder frame H(-w) differs from that one on
+    # the hyperplane w-perp, so its in-band moments, and near a threshold its
+    # verdicts, can differ from w's: in the example pinned above w's sigma/6
+    # band fails and -w's, in H(-w), passes.
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((8_000, d))
+    X[:, -1] *= stretch  # one coordinate stretched by up to 15 %: some bands fail, others pass
+    train = LabeledDataset(X, np.ones(8_000))
+    w = project_to_sphere(rng.standard_normal(d))
+    flip = np.ones(d)
+    flip[0] = -1.0
+    # rows are multiplied on the right, so x @ (H flip) is the frame diag(-1, I) H x
+    reflected = testers.rotation_to_first_axis(w) * flip
+    own_frame = testers.rotation_to_first_axis
+    frame = lambda u: reflected if u == w.negated() else own_frame(u)
+    tcfg = TesterConfig(calibration_reps=50)
+    theta = min(2.0 * sigma, math.pi / 4.0) if strips else None
+    runs = []
+    for cand in (w, w.negated()):
+        reports = []
+        with mock.patch.object(testers, "rotation_to_first_axis", frame):
+            survivors, examined = pipeline._vet_pairs(train, [cand], sigma, 0.05, tcfg, TARGET, theta, reports)
+        runs.append((survivors and {v.coords.tobytes() for v in survivors}, examined, [r.accepted for r in reports]))
+        runs[-1] += ([r for r in reports if r.checks[0].name.startswith("band_mass")],)
+    assert runs[0] == runs[1]
 
 
 def test_learn_agnostic_rejects_student_t_at_degree_4():

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from halflearn.core import LabeledDataset, MultiIndex, RngSeed, exponent_tuples, project_to_sphere
@@ -118,6 +120,27 @@ def test_monomial_means_ignore_memory_layout():
         ref = _monomial_means(X, alphas)
         assert np.array_equal(_monomial_means(np.asfortranarray(X), alphas), ref)
         assert np.array_equal(_monomial_means(view, alphas), ref)
+
+
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.floats(0.05, 0.95))
+@settings(max_examples=40, deadline=None)
+def test_negated_direction_has_the_same_band_deviations(d, seed, sigma):
+    # the frame diag(-1, I) H(w) maps -w to e1; in it the band rows of -w give
+    # (-1)^alpha_1 times w's monomial means, bit for bit, and the in-band
+    # Gaussian targets vanish for odd alpha_1, so every |emp - tgt| is w's
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((2000, d))
+    w = random_unit(d, rng)
+    assert np.array_equal(np.abs(X @ w.coords) <= sigma, np.abs(X @ w.negated().coords) <= sigma)
+    Xb = X[np.abs(X @ w.coords) <= sigma] @ rotation_to_first_axis(w)
+    Yb = Xb.copy()
+    Yb[:, 0] = -Yb[:, 0]
+    alphas = [a for deg in range(1, 5) for a in exponent_tuples(d, deg)]
+    emp = _monomial_means(Xb, alphas)
+    sign = np.array([(-1.0) ** a[0] for a in alphas])
+    assert np.array_equal(_monomial_means(Yb, alphas), sign * emp)
+    tgt = np.array([testers._band_gaussian_moment(a, sigma) for a in alphas])
+    assert np.array_equal(np.abs(sign * emp - tgt), np.abs(emp - tgt))
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +283,19 @@ def test_t3_rejects_doubled_coordinate_in_band():
 
 
 def test_t3_insufficient_band_samples():
+    # no row near the hyperplane: the band-mass checks reject before the
+    # in-band count is looked at
     rng = np.random.default_rng(222)
     X = np.column_stack([5.0 + rng.random(2000), rng.standard_normal(2000)])
-    ds = LabeledDataset(X, np.ones(2000))
+    w = project_to_sphere([1.0, 0.0])
+    rep = band_moment_tester(LabeledDataset(X, np.ones(2000)), w, 0.3, 0.5, CFG, TARGET)
+    assert not rep.accepted
+    assert [c.name for c in rep.checks] == ["band_mass_abs_error", "band_mass_fraction"]
+    # about 70 of 300 Gaussian rows fall in the band: t2 passes, too few for t3
+    ds = gaussian_dataset(300, 2, seed=222)
+    assert band_mass_tester(ds, w, 0.3, CFG, TARGET).accepted
     with pytest.raises(InsufficientBandSamplesError):
-        band_moment_tester(ds, project_to_sphere([1.0, 0.0]), 0.3, 0.5, CFG, TARGET)
+        band_moment_tester(ds, w, 0.3, 0.5, CFG, TARGET)
 
 
 def test_t3_band_mass_rejection_propagates():
@@ -307,6 +338,22 @@ def test_t3_custom_target_path():
     assert rep.accepted
     rep2 = band_moment_tester(ds, w, 0.4, 0.6, cfg, tilt)
     assert rep.to_json_dict() == rep2.to_json_dict()  # cached oracle is deterministic
+
+
+def test_t3_custom_theory_report_ignores_the_replicate_count(empty_oracle_cache, monkeypatch):
+    # a custom target's in-band moments come from a draw of their own, so the
+    # replicate count cannot move them, and theory mode draws no replicates
+    tilt = tilted_gaussian_target(0.5, 3)
+    ds = sample_marginal(MarginalSpec("slc_exp_tilt", 3, lam=0.5), 20_000, RngSeed(228))
+    w = project_to_sphere([1.0, 0.5, -0.2])
+    monkeypatch.setattr(testers, "_cached_oracle", lambda *args: pytest.fail("theory mode drew replicates"))
+    reports = []
+    for reps in (2, 1000):
+        testers.clear_oracle_cache()
+        cfg = TesterConfig(slack_mode="theory", calibration_reps=reps)
+        reports.append(band_moment_tester(ds, w, 0.4, 0.5, cfg, tilt))
+    assert reports[0] == reports[1]
+    assert len(reports[0].checks) == 2 + 34
 
 
 @pytest.mark.parametrize("tau, k", [(0.8, 2), (0.5, 4)])
@@ -412,7 +459,7 @@ def test_clt_cutoff_matches_sampled_thresholds(monkeypatch, empty_oracle_cache):
 
 def oracle_outputs() -> list[str]:
     """Hex bytes of the t1 and Gaussian t3 quantiles on both sides of the
-    cutoff, and of the custom-target t3 oracle's targets and quantiles."""
+    cutoff, and of custom-target t3 deviations and thresholds on both sides."""
     cfg = testers.TesterConfig()
     target = testers.standard_gaussian_target()
     t1 = list(exponent_tuples(3, 4))
@@ -428,7 +475,10 @@ def oracle_outputs() -> list[str]:
     tilt = testers.tilted_gaussian_target(0.5, 3)
     w = project_to_sphere([1.0, 0.5, -0.2])
     cfg_small = testers.TesterConfig(calibration_reps=20)
-    out.extend(testers._custom_band_oracle(tilt, w, 0.3, testers._bucket_count(500), t3, cfg_small))
+    for n in (2_100, 12_000):  # about 500 and 2 800 in-band rows: sampled and CLT quantiles
+        X = tilt.sample(n, 3, np.random.default_rng(n))
+        rep = testers.band_moment_tester(LabeledDataset(X, np.ones(n)), w, 0.3, 0.5, cfg_small, tilt)
+        out.append(np.array([(c.measured, c.threshold) for c in rep.checks]))
     return [q.tobytes().hex() for q in out]
 
 
@@ -438,7 +488,7 @@ def test_null_quantiles_identical_in_fresh_process(empty_oracle_cache):
     script = "\n".join([
         "import numpy as np",
         "from halflearn import testers",
-        "from halflearn.core import MultiIndex, exponent_tuples, project_to_sphere",
+        "from halflearn.core import LabeledDataset, MultiIndex, exponent_tuples, project_to_sphere",
         inspect.getsource(gaussian_band_quantiles),
         inspect.getsource(oracle_outputs),
         "print(' '.join(oracle_outputs()))",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -221,11 +222,23 @@ def brute_force_opt_2d(S: LabeledDataset) -> tuple[float, UnitVector]:
 
 # ---------------------------------------------------------------------------
 # Dataset file format: UTF-8 CSV, header y,x1,...,xd, floats at 17 significant
-# digits (shared with the CLI).
+# digits (shared with the CLI).  Beside each CSV it writes, the writer leaves a
+# binary twin <path>.twin: _TWIN_MAGIC, the SHA-256 of the CSV's bytes, then the
+# np.save stream of the (n, d+1) float64 array, labels first like the CSV
+# columns.  A reader uses the twin only while the digest matches the CSV, so a
+# stale or foreign twin is never read and deleting one is always safe.  The
+# twin holds what a parse would return: LabeledDataset guarantees finite points
+# and +-1 labels, and %.17g and %d round-trip those bit for bit.
 
 # Rows per formatted block: one %-format per block keeps the per-value work in
 # C, and the file is written block by block, so its whole text is never held.
 _CSV_BLOCK_ROWS = 32768
+_TWIN_MAGIC = b"HLTWIN01"
+_HASH_CHUNK = 1 << 20
+
+
+def _csv_header(d: int) -> str:
+    return "y," + ",".join(f"x{i + 1}" for i in range(d))
 
 
 def _csv_blocks(S: LabeledDataset) -> Iterator[str]:
@@ -234,7 +247,7 @@ def _csv_blocks(S: LabeledDataset) -> Iterator[str]:
     '%.17g' % v formats as f"{v:.17g}" does, and '%d' truncates the float
     label as int() does.
     """
-    yield "y," + ",".join(f"x{i + 1}" for i in range(S.d)) + "\n"
+    yield _csv_header(S.d) + "\n"
     row = "%d," + ",".join(["%.17g"] * S.d) + "\n"
     for start in range(0, S.n, _CSV_BLOCK_ROWS):
         y = S.labels[start : start + _CSV_BLOCK_ROWS]
@@ -247,21 +260,78 @@ def dataset_to_csv(S: LabeledDataset) -> str:
 
 
 def write_dataset_csv(S: LabeledDataset, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_csv_blocks(S))
+    """Write S as CSV to path, then its binary twin to path + '.twin'.
+
+    The CSV counts as written even when the twin cannot be: a reader without
+    a twin parses the text."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for block in _csv_blocks(S):
+            data = block.encode("ascii")
+            digest.update(data)
+            fh.write(data)
+    twin = path + ".twin"
+    tmp = f"{twin}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_TWIN_MAGIC + digest.digest())
+            np.save(fh, np.column_stack([S.labels, S.points]), allow_pickle=False)
+        os.replace(tmp, twin)  # a reader never sees a half-written twin
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+
+
+def _read_twin(path: str) -> np.ndarray | None:
+    """The (n, d+1) array of path's twin if the twin matches the CSV's bytes,
+    else None.  Without a twin this costs one failed open."""
+    try:
+        twin = open(path + ".twin", "rb")
+    except OSError:
+        return None
+    import hashlib
+
+    with twin:
+        try:
+            head = twin.read(len(_TWIN_MAGIC) + 32)
+            if head[: len(_TWIN_MAGIC)] != _TWIN_MAGIC:
+                return None
+            digest = hashlib.sha256()
+            with open(path, "rb") as fh:
+                header = fh.readline()
+                digest.update(header)
+                while chunk := fh.read(_HASH_CHUNK):
+                    digest.update(chunk)
+            if digest.digest() != head[len(_TWIN_MAGIC) :]:
+                return None
+            body = np.load(twin, allow_pickle=False)
+        except (OSError, ValueError):
+            return None
+    d = header.count(b",")
+    if header != (_csv_header(d) + "\n").encode("ascii"):
+        return None
+    if body.ndim != 2 or body.dtype != np.float64 or body.shape[0] < 1 or body.shape[1] != d + 1:
+        return None
+    return body
 
 
 def read_dataset_csv(path: str) -> LabeledDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("y,x1"):
-            raise ValueError(f"{path}: not a dataset CSV (bad header)")
-        rows_start = fh.tell()
-        if not fh.readline():
-            raise ValueError(f"{path}: no data rows after the header")
-        fh.seek(rows_start)
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    width = header.count(",") + 1
-    if body.shape[1] != width:
-        raise ValueError(f"{path}: rows have {body.shape[1]} columns but the header names {width}")
+    body = _read_twin(path)
+    if body is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            d = header.count(",")
+            if d < 1 or header != _csv_header(d):
+                raise ValueError(f"{path}: not a dataset CSV (header must be {_csv_header(max(d, 1))!r})")
+            rows_start = fh.tell()
+            if not fh.readline():
+                raise ValueError(f"{path}: no data rows after the header")
+            fh.seek(rows_start)
+            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if body.shape[1] != d + 1:
+            raise ValueError(f"{path}: rows have {body.shape[1]} columns but the header names {d + 1}")
     return LabeledDataset(body[:, 1:], body[:, 0])

@@ -483,22 +483,32 @@ def _bucket_count(m: int) -> int:
     return int(round(math.exp(round(math.log(m) / step) * step)))
 
 
+# Largest rejection batch of _band_pool_custom, in proposal rows.
+_BAND_POOL_BATCH = 1 << 17
+
+
 def _band_pool_custom(
     target: TargetMarginal, w: UnitVector, sigma: float, total: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Rejection-sample the custom target into the band |<w,x>| <= sigma."""
+    """Rejection-sample the custom target into the band |<w,x>| <= sigma.
+
+    Proposals come in batches of max(4 * total, 1000) rows, capped at
+    _BAND_POOL_BATCH so that a large pool holds about its kept rows and not
+    four times its size.  Sampling gives up after as many proposal rows as
+    2000 uncapped batches hold."""
     rows = []
-    have = 0
+    have = drawn = 0
     batch = max(4 * total, 1000)
-    tries = 0
+    budget = 2000 * batch
+    batch = min(batch, _BAND_POOL_BATCH)
     while have < total:
+        if drawn >= budget:
+            raise NoConvergenceError("band rejection sampling made no progress; sigma too small?")
         X = target.sample(batch, w.d, rng)
         keep = X[np.abs(X @ w.coords) <= sigma]
         rows.append(keep)
         have += len(keep)
-        tries += 1
-        if tries > 2000:
-            raise NoConvergenceError("band rejection sampling made no progress; sigma too small?")
+        drawn += batch
     return np.concatenate(rows, axis=0)[:total]
 
 

@@ -314,3 +314,64 @@ def test_gaussian_learn_and_t3_load_no_scipy(tmp_path):
     assert probe["scipy_after_tilt"]
     assert json.loads((tmp_path / "learn.json").read_text())["rejected"] is False
     assert len(json.loads((tmp_path / "t3.json").read_text())["checks"]) > 2  # t2 and then the moments
+
+
+def test_readers_write_no_twin(tmp_path):
+    # Hand-written inputs, as a user brings them: learn, test and eval read
+    # them without leaving anything beside them.
+    from halflearn.core import RngSeed, project_to_sphere
+    from halflearn.datagen import MarginalSpec, NoiseSpec, apply_noise, sample_marginal
+
+    w = project_to_sphere([1.0, 0.0, 0.0])
+    for name, n, seed in (("train.csv", 20_000, 51), ("hold.csv", 8_000, 52)):
+        X = sample_marginal(MarginalSpec("standard_gaussian", 3), n, RngSeed(seed))
+        S = apply_noise(X, NoiseSpec("agnostic_random", w, opt=0.05), RngSeed(seed + 10))
+        rows = (f"{int(y)}," + ",".join(map(repr, x)) for y, x in zip(S.labels.tolist(), S.points.tolist()))
+        (tmp_path / name).write_text("y,x1,x2,x3\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    train, hold = tmp_path / "train.csv", tmp_path / "hold.csv"
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli("learn", "--mode", "agnostic", "--submode", "gaussian", "--train", train, "--holdout", hold,
+                   "--epsilon", 0.5, "--seed", 53, "--out", out / "learn.json").returncode == 0
+    assert run_cli("test", "--tester", "t1", "--k", 2, "--data", train, "--seed", 54,
+                   "--out", out / "t1.json").returncode == 0
+    assert run_cli("eval", "--hypothesis", out / "learn.json", "--data", hold,
+                   "--out", out / "eval.json").returncode == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hold.csv", "out", "train.csv"]
+
+
+def test_gen_succeeds_when_the_twin_cannot_be_written(tmp_path):
+    args = ("gen", "--marginal", "gaussian", "--d", 3, "--n", 2_000, "--noise", "massart-const", "--eta", 0.2,
+            "--planted", "random", "--seed", 55)
+    free, blocked = tmp_path / "free.csv", tmp_path / "blocked.csv"
+    assert run_cli(*args, "--out", free).returncode == 0
+    assert (tmp_path / "free.csv.twin").is_file()
+    (tmp_path / "blocked.csv.twin").mkdir()  # os.replace cannot put a file there, even as root
+    res = run_cli(*args, "--out", blocked)
+    assert res.returncode == 0, res.stderr
+    assert blocked.read_bytes() == free.read_bytes()
+    assert (tmp_path / "blocked.csv.twin").is_dir()
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_payloads_do_not_depend_on_the_twin(tmp_path):
+    common = ("--marginal", "gaussian", "--d", 3, "--noise", "agnostic-random", "--opt", 0.05)
+    train, hold, planted = tmp_path / "train.csv", tmp_path / "hold.csv", tmp_path / "w.json"
+    assert run_cli("gen", *common, "--n", 20_000, "--planted", "random", "--planted-out", planted,
+                   "--seed", 61, "--out", train).returncode == 0
+    assert run_cli("gen", *common, "--n", 8_000, "--planted", planted, "--seed", 62, "--out", hold).returncode == 0
+    twins = [tmp_path / "train.csv.twin", tmp_path / "hold.csv.twin"]
+    assert all(t.is_file() for t in twins)
+
+    def payloads():
+        learn, ev = tmp_path / "learn.json", tmp_path / "eval.json"
+        assert run_cli("learn", "--mode", "agnostic", "--submode", "gaussian", "--train", train, "--holdout", hold,
+                       "--epsilon", 0.5, "--seed", 63, "--out", learn).returncode == 0
+        assert run_cli("eval", "--hypothesis", learn, "--data", hold, "--planted", planted,
+                       "--out", ev).returncode == 0
+        return learn.read_bytes(), ev.read_bytes()
+
+    with_twins = payloads()
+    for t in twins:
+        t.unlink()
+    assert payloads() == with_twins

@@ -243,7 +243,7 @@ _EDGE_VALUES = (-0.0, 5e-324, 1e-300, -1e-300, 1e308, np.nextafter(1.0, 2.0), 1.
     [1, datagen._CSV_BLOCK_ROWS - 1, datagen._CSV_BLOCK_ROWS, datagen._CSV_BLOCK_ROWS + 1,
      3 * datagen._CSV_BLOCK_ROWS + 17],
 )
-def test_block_writer_matches_reference_formatter(tmp_path, n):
+def test_block_writer_matches_reference_formatter(tmp_path, monkeypatch, n):
     rng = np.random.default_rng(n)
     d = 3
     # wide magnitudes, then the edge values spread over the first rows
@@ -261,10 +261,110 @@ def test_block_writer_matches_reference_formatter(tmp_path, n):
     path = tmp_path / "ds.csv"
     write_dataset_csv(S, str(path))
     assert path.read_bytes() == text.encode("utf-8"), "file differs from dataset_to_csv"
+    hit = _read_without_parsing(path, monkeypatch)
+    (tmp_path / "ds.csv.twin").unlink()  # what follows reads the text
     back = read_dataset_csv(str(path))
     assert np.array_equal(back.points, S.points)
     assert np.array_equal(np.signbit(back.points), np.signbit(S.points))  # -0.0 stays -0.0
     assert np.array_equal(back.labels, S.labels)
+    _assert_same_bits(hit, back)
+
+
+def _read_without_parsing(path, monkeypatch):
+    """read_dataset_csv(path) with the text parser disabled: only a twin hit succeeds."""
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("parsed the CSV text although its twin matches")
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "loadtxt", no_parse)
+        return read_dataset_csv(str(path))
+
+
+def _assert_same_bits(a, b):
+    for x, y in ((a.points, b.points), (a.labels, b.labels)):
+        assert x.shape == y.shape
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))  # signs of zero included
+
+
+def _dataset_with_twin(tmp_path):
+    S = sample_marginal(MarginalSpec("standard_gaussian", 3), 50, RngSeed(26))
+    path = tmp_path / "ds.csv"
+    write_dataset_csv(S, str(path))
+    return S, path
+
+
+def _forge_twin(path, table, magic=datagen._TWIN_MAGIC):
+    """Write a twin for path that holds ``table`` under the digest of path's bytes."""
+    import hashlib
+    import io
+
+    buf = io.BytesIO()
+    np.save(buf, table, allow_pickle=False)
+    digest = hashlib.sha256(path.read_bytes()).digest()
+    (path.parent / (path.name + ".twin")).write_bytes(magic + digest + buf.getvalue())
+
+
+def test_a_matching_twin_is_read_in_place_of_the_text(tmp_path, monkeypatch):
+    # the control for the fall-back tests below: a forged twin with a matching
+    # digest is trusted, so a twin that is not must show as the parsed values
+    S, path = _dataset_with_twin(tmp_path)
+    _forge_twin(path, np.column_stack([S.labels, S.points + 1.0]))
+    got = _read_without_parsing(path, monkeypatch)
+    assert np.array_equal(got.points, S.points + 1.0)
+
+
+def _twin_with_wrong_magic(path, S):
+    _forge_twin(path, np.column_stack([S.labels, S.points + 1.0]), magic=b"NOTATWIN")
+
+
+def _twin_with_wrong_width(path, S):
+    _forge_twin(path, np.column_stack([S.labels, S.points + 1.0, S.points[:, :1]]))
+
+
+def _truncated_twin(path, S):
+    twin = path.parent / (path.name + ".twin")
+    twin.write_bytes(twin.read_bytes()[:-8])
+
+
+def _csv_with_one_digit_changed(path, S):
+    lines = path.read_text(encoding="utf-8").splitlines(True)
+    label, first, rest = lines[1].split(",", 2)
+    digit = next(i for i, c in enumerate(first) if c.isdigit() and c != "0")
+    first = first[:digit] + ("1" if first[digit] != "1" else "2") + first[digit + 1 :]
+    lines[1] = ",".join((label, first, rest))
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("spoil", [_csv_with_one_digit_changed, _truncated_twin, _twin_with_wrong_magic,
+                                   _twin_with_wrong_width])
+def test_a_twin_that_does_not_match_falls_back_to_the_parse(tmp_path, spoil):
+    S, path = _dataset_with_twin(tmp_path)
+    spoil(path, S)
+    got = read_dataset_csv(str(path))
+    twin = path.parent / (path.name + ".twin")
+    twin.unlink()
+    _assert_same_bits(got, read_dataset_csv(str(path)))
+    if spoil is _csv_with_one_digit_changed:
+        assert not np.array_equal(got.points, S.points)
+    else:
+        _assert_same_bits(got, S)
+
+
+@pytest.mark.parametrize("text, match", [
+    ("y,x1,x2,label\n1,0.5,0.25,0.125\n", r"stale.csv: not a dataset CSV \(header must be 'y,x1,x2,x3'\)"),
+    ("x1,y\n0.5,1\n", r"stale.csv: not a dataset CSV \(header must be 'y,x1'\)"),
+    ("y,x1,x2\n1,0.5,0.25,0.125\n", "stale.csv: rows have 4 columns but the header names 3"),
+    ("y,x1,x2\n", "stale.csv: no data rows"),
+], ids=["extra_column_name", "label_not_first", "wide_rows", "no_rows"])
+def test_read_errors_hold_beside_a_stale_twin(tmp_path, text, match):
+    S = sample_marginal(MarginalSpec("standard_gaussian", 2), 20, RngSeed(27))
+    path = tmp_path / "stale.csv"
+    write_dataset_csv(S, str(path))
+    path.write_text(text, encoding="utf-8")  # edited after the twin was written
+    assert (tmp_path / "stale.csv.twin").exists()
+    with pytest.raises(ValueError, match=match):
+        read_dataset_csv(str(path))
 
 
 @pytest.mark.parametrize("rows", ["1,0.5,0.25,0.125\n-1,1,2,3\n", "1,0.5\n-1,1\n"])

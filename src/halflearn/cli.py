@@ -121,6 +121,14 @@ def _make_target(name: str, d: int):
     raise UsageExit(f"unknown target {name!r}")
 
 
+def _reject_unread_flags(args, readers: dict[str, tuple[str, tuple[str, ...], object]]) -> None:
+    """Exit 2 naming a flag set away from its default that the chosen --option
+    does not read; ``readers`` maps a flag to (option, its reading values, default)."""
+    for flag, (opt, values, default) in readers.items():
+        if getattr(args, flag[2:]) != default and getattr(args, opt) not in values:
+            raise UsageExit(f"{flag} is read only with --{opt} {'/'.join(values)}")
+
+
 def _write_json(path: str, obj: dict) -> None:
     data = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -211,6 +219,15 @@ def _cmd_test(args) -> int:
     from .core import RngSeed
     from .datagen import read_dataset_csv
 
+    # strip_tester tests N(0, I) only, so t4 reads no --target
+    _reject_unread_flags(args, {
+        "--k": ("tester", ("t1",), None),
+        "--w": ("tester", ("t2", "t3", "t4"), None),
+        "--sigma": ("tester", ("t2", "t3"), None),
+        "--tau": ("tester", ("t3",), None),
+        "--theta": ("tester", ("t4",), None),
+        "--target": ("tester", ("t1", "t2", "t3"), "gaussian"),
+    })
     ds = read_dataset_csv(args.data)
     cfg = testers.TesterConfig(
         slack_mode=args.slack_mode, delta=args.delta, calibration_seed=RngSeed(args.seed)
@@ -247,10 +264,8 @@ def _cmd_learn(args) -> int:
     from .core import RngSeed
     from .datagen import read_dataset_csv
 
-    readers = {"--eta": ("mode", "massart"), "--submode": ("mode", "agnostic"), "--k": ("submode", "slc-fixed-k")}
-    for flag, (opt, value) in readers.items():
-        if getattr(args, flag[2:]) is not None and getattr(args, opt) != value:
-            raise UsageExit(f"{flag} is read only with --{opt} {value}")
+    _reject_unread_flags(args, {"--eta": ("mode", ("massart",), None), "--submode": ("mode", ("agnostic",), None),
+                                "--k": ("submode", ("slc-fixed-k",), None)})
     train = read_dataset_csv(args.train)
     holdout = read_dataset_csv(args.holdout)
     seed = RngSeed(args.seed)

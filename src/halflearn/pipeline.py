@@ -2,9 +2,9 @@
 
 ``learn_massart`` handles bounded (Massart) label noise at a fixed ramp width;
 ``learn_agnostic`` handles arbitrary labels by sweeping a grid of ramp widths.
-Both vet every optimizer candidate (and its negation) with the band testers
-and return the holdout-error argmin among survivors, or a rejection carrying
-the offending tester report.
+Both run one search (``_search``): PSGD at each width, band vetting of every
+optimizer candidate (and its negation), and the holdout-error argmin among
+the pooled survivors, or a rejection carrying the offending tester report.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
     ModeMismatchError,
     SizeLimitError,
 )
-from .optimizer import CandidateList, PsgdConfig, psgd_candidates
+from .optimizer import PsgdConfig, psgd_candidates
 from .surrogate import SurrogateParams
 from .testers import (
     TargetMarginal,
@@ -31,7 +31,6 @@ from .testers import (
     band_mass_tester,  # not called here; perfbench/spans.py wraps this attribute
     band_moment_tester,
     moment_tester,
-    scaled_tester_config,
     strip_tester,
 )
 
@@ -139,11 +138,6 @@ def sigma_grid_agnostic(epsilon: float, k: int) -> list[float]:
     return _arithmetic_grid(spacing)
 
 
-def _gaussian_sigma_grid(epsilon: float) -> list[float]:
-    # The Gaussian path only needs the grid to resolve sigma to Theta(epsilon).
-    return _arithmetic_grid(epsilon)
-
-
 def _arithmetic_grid(spacing: float) -> list[float]:
     count = math.floor(1.0 / spacing)
     if count > _SIGMA_GRID_CAP:
@@ -171,17 +165,6 @@ def _pipeline_psgd_config(sigma: float, grad_target: float, n: int, seed: RngSee
         record_every=math.ceil(max_iters / 6),
         seed=seed,
     )
-
-
-def _unique_candidates(cl: CandidateList) -> list[UnitVector]:
-    seen: set[bytes] = set()
-    out = []
-    for w in cl.candidates:
-        key = w.coords.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(w)
-    return out
 
 
 def _vet_pairs(
@@ -220,6 +203,42 @@ def _vet_pairs(
     return survivors, examined
 
 
+def _search(
+    train: LabeledDataset,
+    holdout: LabeledDataset,
+    widths: list[tuple[float, float, RngSeed]],
+    tester_cfg: TesterConfig,
+    target: TargetMarginal,
+    strips: bool,
+    reports: list[TesterReport],
+) -> tuple[int, float, UnitVector | None, float | None]:
+    """PSGD -> vet -> select over ramp widths, each (sigma, grad_target, seed).
+
+    Each distinct candidate and its negation is vetted at delta / (8 *
+    #candidates * #widths) with thresholds inflated by PER_CANDIDATE_INFLATION,
+    and t4 at theta = min(C4 sigma, pi/4) if ``strips``.  Survivors of all
+    widths are pooled.  Returns (orientations examined, sigma, best, holdout
+    error); sigma is best's width, or the failing width when best is None."""
+    pool: list[tuple[UnitVector, float]] = []
+    examined = 0
+    for sigma, grad_target, seed in widths:
+        pcfg = _pipeline_psgd_config(sigma, grad_target, train.n, seed)
+        found = psgd_candidates(train, SurrogateParams(sigma), pcfg).candidates
+        # one per exact coordinate bytes, in order of first appearance
+        cands = list({w.coords.tobytes(): w for w in found}.values())
+        share = 1.0 / (8.0 * len(cands) * len(widths))
+        inflation = tester_cfg.calibration_inflation * PER_CANDIDATE_INFLATION
+        tcfg = replace(tester_cfg, calibration_inflation=inflation, delta=max(tester_cfg.delta * share, 1e-12))
+        theta = min(C4 * sigma, math.pi / 4.0) if strips else None
+        survivors, vetted = _vet_pairs(train, cands, sigma, C2, tcfg, target, theta, reports)
+        examined += vetted
+        if survivors is None:
+            return examined, sigma, None, None
+        pool.extend((w, sigma) for w in survivors)
+    best, err = select_best_candidate(holdout, [w for w, _ in pool])
+    return examined, next(s for w, s in pool if w == best), best, err
+
+
 def learn_massart(
     S_train: LabeledDataset,
     S_holdout: LabeledDataset,
@@ -228,31 +247,21 @@ def learn_massart(
 ) -> LearnResult:
     """Tester-learner under Massart noise at rate at most eta.
 
-    Global moment test at degree 2, PSGD on the ramp loss at width
-    sigma = C_SIGMA * epsilon^{3/2} * (1 - 2 eta), band vetting of every
-    candidate and its negation, then holdout selection."""
+    Global moment test at degree 2, then the search at the one ramp width
+    sigma = C_SIGMA * epsilon^{3/2} * (1 - 2 eta)."""
     if S_train.d != S_holdout.d:
         raise DimensionMismatchError("train and holdout disagree on d")
     one_minus = 1.0 - 2.0 * cfg.eta
     sigma = min(C_SIGMA * cfg.epsilon**1.5 * one_minus, 1.0)
     tester_cfg = replace(cfg.tester_cfg, delta=cfg.delta)
 
-    reports: list[TesterReport] = []
-    t1 = moment_tester(S_train, 2, tester_cfg, target)
-    reports.append(t1)
-    if not t1.accepted:
+    reports = [moment_tester(S_train, 2, tester_cfg, target)]
+    if not reports[0].accepted:
         return LearnResult(True, sigma, 0, tuple(reports))
 
-    grad_target = C1 * one_minus * sigma / 2.0
-    pcfg = _pipeline_psgd_config(sigma, grad_target, S_train.n, cfg.seed.child(1))
-    cands = _unique_candidates(psgd_candidates(S_train, SurrogateParams(sigma), pcfg))
-
-    tcfg = scaled_tester_config(tester_cfg, PER_CANDIDATE_INFLATION, 1.0 / (8.0 * len(cands)))
-    pool, examined = _vet_pairs(S_train, cands, sigma, C2, tcfg, target, None, reports)
-    if pool is None:
-        return LearnResult(True, sigma, examined, tuple(reports))
-    best, err = select_best_candidate(S_holdout, pool)
-    return LearnResult(False, sigma, examined, tuple(reports), best, err)
+    widths = [(sigma, C1 * one_minus * sigma / 2.0, cfg.seed.child(1))]
+    examined, _, best, err = _search(S_train, S_holdout, widths, tester_cfg, target, False, reports)
+    return LearnResult(best is None, sigma, examined, tuple(reports), best, err)
 
 
 def learn_agnostic(
@@ -263,20 +272,18 @@ def learn_agnostic(
 ) -> LearnResult:
     """Tester-learner under adversarial labels.
 
-    Runs the global moment tests, then repeats the vet-and-collect process of
-    the Massart learner for every ramp width in a grid over (0, 1]; in
-    gaussian mode each surviving candidate is additionally strip-tested.  The
-    pooled survivors are ranked by holdout error."""
+    Runs the global moment tests, then the search over a grid of ramp widths
+    in (0, 1]; in gaussian mode each surviving candidate is additionally
+    strip-tested."""
     if S_train.d != S_holdout.d:
         raise DimensionMismatchError("train and holdout disagree on d")
     if cfg.mode == "gaussian" and target.kind != "standard_gaussian":
         raise ModeMismatchError("gaussian mode requires the standard Gaussian target")
-    d = S_train.d
     tester_cfg = replace(cfg.tester_cfg, delta=cfg.delta)
 
     reports: list[TesterReport] = []
     if cfg.mode == "slc_auto_k":
-        swept_ks = list(range(2, max(math.ceil(math.log(d) ** 2), 2) + 1, 2))
+        swept_ks = list(range(2, max(math.ceil(math.log(S_train.d) ** 2), 2) + 1, 2))
     elif cfg.mode == "slc_fixed_k":
         swept_ks = [cfg.k]
     else:
@@ -289,28 +296,16 @@ def learn_agnostic(
             return LearnResult(True, 0.0, 0, tuple(reports))
 
     if cfg.mode == "gaussian":
-        grid = _gaussian_sigma_grid(cfg.epsilon)
+        # The Gaussian path only needs the grid to resolve sigma to Theta(epsilon).
+        grid = _arithmetic_grid(cfg.epsilon)
     else:
         grid = sigma_grid_agnostic(cfg.epsilon, max(swept_ks))
 
-    pool: list[tuple[UnitVector, float]] = []
-    examined = 0
-    for ci, sigma in enumerate(grid):
-        pcfg = _pipeline_psgd_config(sigma, C2, S_train.n, cfg.seed.child(2, ci))
-        cands = _unique_candidates(psgd_candidates(S_train, SurrogateParams(sigma), pcfg))
-        tcfg = scaled_tester_config(tester_cfg, PER_CANDIDATE_INFLATION, 1.0 / (8.0 * len(cands) * len(grid)))
-        theta = min(C4 * sigma, math.pi / 4.0) if cfg.mode == "gaussian" else None
-        survivors, vetted = _vet_pairs(S_train, cands, sigma, C2, tcfg, target, theta, reports)
-        examined += vetted
-        if survivors is None:
-            return LearnResult(True, sigma, examined, tuple(reports))
-        pool.extend((w, sigma) for w in survivors)
-
-    best, err = select_best_candidate(S_holdout, [w for w, _ in pool])
-    sigma_best = next(s for w, s in pool if w == best)
-    theta_best = min(C4 * sigma_best, math.pi / 4.0)
-    if cfg.mode == "gaussian":
-        bound = 4.0 * theta_best
-    else:
-        bound = min(angle_to_error_bound(theta_best, k, BOUND_C1, BOUND_C3)[1] for k in swept_ks)
-    return LearnResult(False, sigma_best, examined, tuple(reports), best, err, bound)
+    widths = [(sigma, C2, cfg.seed.child(2, ci)) for ci, sigma in enumerate(grid)]
+    strips = cfg.mode == "gaussian"
+    examined, sigma, best, err = _search(S_train, S_holdout, widths, tester_cfg, target, strips, reports)
+    if best is None:
+        return LearnResult(True, sigma, examined, tuple(reports))
+    theta = min(C4 * sigma, math.pi / 4.0)
+    bound = 4.0 * theta if strips else min(angle_to_error_bound(theta, k, BOUND_C1, BOUND_C3)[1] for k in swept_ks)
+    return LearnResult(False, sigma, examined, tuple(reports), best, err, bound)

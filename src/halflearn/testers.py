@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -62,10 +62,11 @@ def _min_strip_count(d: int) -> int:
     return max(50 * d, 2000 * (d - 1), 4000)
 
 
-# Monte-Carlo calibration: replicate count is reduced for very large
-# (samples x checks) products so a single cache fill stays bounded.  Large
-# sample sizes tolerate few replicates (the null deviations are nearly
+# Monte-Carlo calibration: _CALIBRATION_REPS replicates, reduced for very
+# large (samples x checks) products so a single cache fill stays bounded.
+# Large sample sizes tolerate few replicates (the null deviations are nearly
 # Gaussian there); small ones are cheap enough to keep the full count.
+_CALIBRATION_REPS = 1000
 _CALIBRATION_BUDGET = 600_000_000
 _MIN_REPS = 200
 
@@ -258,7 +259,6 @@ class TesterConfig:
     slack_mode: str = "calibrated"
     calibration_inflation: float = 1.5
     delta: float = 0.05
-    calibration_reps: int = 1000
     calibration_seed: RngSeed = RngSeed(271828182845)
 
     def __post_init__(self) -> None:
@@ -268,8 +268,6 @@ class TesterConfig:
             raise ValueError("calibration_inflation must be >= 1")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie in (0, 1)")
-        if self.calibration_reps < 2:
-            raise ValueError("calibration_reps must be at least 2")
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +429,7 @@ def _cached_oracle(key: tuple, stream: tuple, per_rep_cost: int, cfg: TesterConf
     """The one cache site of the calibration oracles: picks the replicate
     count R from the budget, extends the caller's key with (delta, R, seed)
     and on a miss stores ``fill(R, rng)``, rng seeded from stream plus R."""
-    R = min(cfg.calibration_reps, max(_MIN_REPS, int(_CALIBRATION_BUDGET // max(per_rep_cost, 1))))
+    R = min(_CALIBRATION_REPS, max(_MIN_REPS, int(_CALIBRATION_BUDGET // max(per_rep_cost, 1))))
     key = (*key, cfg.delta, R, cfg.calibration_seed.seed)
     if key not in _ORACLE_CACHE:
         _ORACLE_CACHE[key] = fill(R, cfg.calibration_seed.generator(*stream, R))
@@ -740,13 +738,3 @@ def angle_to_error_bound(theta: float, k: int, c1: float, c3: float) -> tuple[fl
     sigma_opt = (c1 * k) ** (k / (2.0 * (k + 1.0))) * t ** (k / (k + 1.0))
     bound = c3 * sigma_opt + amp / sigma_opt**k
     return sigma_opt, bound
-
-
-def scaled_tester_config(cfg: TesterConfig, inflation_factor: float, delta_share: float) -> TesterConfig:
-    """Per-candidate tester budget: tighten delta and inflate calibrated
-    thresholds when one run issues many dependent tester calls."""
-    return replace(
-        cfg,
-        calibration_inflation=cfg.calibration_inflation * inflation_factor,
-        delta=max(cfg.delta * delta_share, 1e-12),
-    )

@@ -222,6 +222,30 @@ def test_learn_rejects_flags_its_mode_does_not_read(tmp_path, capsys, mode_flags
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tester_flags, flag", [
+    (("t2", "--w", "1,0,0", "--sigma", "0.5", "--k", "2"), "--k"),
+    (("t1", "--k", "2", "--w", "1,0,0"), "--w"),
+    (("t4", "--w", "1,0,0", "--theta", "0.2", "--sigma", "0.5"), "--sigma"),
+    (("t2", "--w", "1,0,0", "--sigma", "0.5", "--tau", "0.5"), "--tau"),
+    (("t3", "--w", "1,0,0", "--sigma", "0.5", "--tau", "0.5", "--theta", "0.2"), "--theta"),
+    (("t4", "--w", "1,0,0", "--theta", "0.2", "--target", "tilt:0.5"), "--target"),  # t4 tests N(0, I) only
+    (("t4", "--w", "1,0,0", "--theta", "0.2", "--target", "gaussian"), None),  # the default is read by all
+])
+def test_test_rejects_flags_its_tester_does_not_read(tmp_path, capsys, tester_flags, flag):
+    from halflearn.cli import main
+
+    out = tmp_path / "r.json"
+    # the flags are checked before the (here missing) data file is read
+    argv = ["test", "--tester", *tester_flags, "--data", str(tmp_path / "d.csv"), "--seed", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    if flag is None:
+        assert "is read only with" not in err and "d.csv" in err
+    else:
+        assert f"halflearn: {flag} is read only with --tester" in err
+    assert not out.exists()
+
+
 def test_eval_oracle_2d(tmp_path):
     data = tmp_path / "d2.csv"
     planted = tmp_path / "w2.json"

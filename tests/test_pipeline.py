@@ -190,10 +190,51 @@ def test_learners_spend_their_own_delta(monkeypatch):
         (0.01 * (1.0 / (8.0 * n_cands)), 1.5 * 1.6)
     }
 
+    # agnostic: the vetting calls at each width spend delta / (8 * #distinct
+    # candidates at that width * #grid); t4 runs in gaussian mode only, with
+    # the same budget, at theta = min(C4 sigma, pi/4)
+    psgd, strip = pl.psgd_candidates, pl.strip_tester
+    widths, calls = [], []  # (sigma, #distinct candidates) per PSGD run; (tester, sigma, n, theta, cfg)
+
+    def psgd_spy(S, params, pcfg):
+        cl = psgd(S, params, pcfg)
+        widths.append((params.sigma, len({w.coords.tobytes() for w in cl.candidates})))
+        return cl
+
+    def vet_spy(S, w, sigma, tau, tcfg, target):
+        calls.append(("t3", *widths[-1], None, tcfg))
+        return original(S, w, sigma, tau, tcfg, target)
+
+    def strip_spy(S, w, theta, tcfg):
+        calls.append(("t4", *widths[-1], theta, tcfg))
+        return strip(S, w, theta, tcfg)
+
+    monkeypatch.setattr(pl, "psgd_candidates", psgd_spy)
+    monkeypatch.setattr(pl, "band_moment_tester", vet_spy)
+    monkeypatch.setattr(pl, "strip_tester", strip_spy)
+    for mode, k, opt, eps, seed, grid in (("gaussian", None, 0.05, 0.5, 625, pl._arithmetic_grid(0.5)),
+                                          ("slc_fixed_k", 2, 0.02, 0.6, 628, pl.sigma_grid_agnostic(0.6, 2))):
+        widths.clear()
+        calls.clear()
+        a_train, _ = planted_agnostic(30_000, 3, opt, "agnostic_random", seed=seed)
+        a_hold, _ = planted_agnostic(10_000, 3, opt, "agnostic_random", seed=seed + 1)
+        cfg = AgnosticConfig(epsilon=eps, delta=0.01, mode=mode, k=k, seed=RngSeed(seed + 2))
+        res = pl.learn_agnostic(a_train, a_hold, cfg, TARGET)
+        assert not res.rejected and [sigma for sigma, _ in widths] == grid
+        for tester, sigma, n, theta, tcfg in calls:
+            assert (tcfg.delta, tcfg.calibration_inflation) == (0.01 * (1.0 / (8.0 * n * len(grid))), 1.5 * 1.6)
+            assert theta == (min(pl.C4 * sigma, math.pi / 4.0) if tester == "t4" else None)
+        t4_calls = sum(tester == "t4" for tester, *_ in calls)
+        assert calls and t4_calls == (res.candidates_examined if mode == "gaussian" else 0)
+
+    # a t1 reject reports the Massart width, and 0.0 for the agnostic grid
     aniso = _aniso_train()
+    res = pl.learn_massart(aniso, aniso, MassartConfig(eta=0.1, epsilon=0.5, delta=0.01, seed=RngSeed(638)), TARGET)
+    assert res.rejected and res.candidates_examined == 0
+    assert res.sigma_used == min(pl.C_SIGMA * 0.5**1.5 * (1.0 - 2.0 * 0.1), 1.0)
     cfg = AgnosticConfig(epsilon=0.3, delta=0.01, mode="gaussian", seed=RngSeed(637))
     res = pl.learn_agnostic(aniso, aniso, cfg, TARGET)
-    assert res.rejected and res.candidates_examined == 0
+    assert res.rejected and res.candidates_examined == 0 and res.sigma_used == 0.0
     assert res.tester_reports == (moment_tester(aniso, 2, TesterConfig(delta=0.01), TARGET),)
 
 
@@ -225,12 +266,15 @@ def test_vetting_a_candidate_or_its_negation_gives_the_same_verdicts(d, seed, si
     reflected = testers.rotation_to_first_axis(w) * flip
     own_frame = testers.rotation_to_first_axis
     frame = lambda u: reflected if u == w.negated() else own_frame(u)
-    tcfg = TesterConfig(calibration_reps=50)
+    tcfg = TesterConfig()
     theta = min(2.0 * sigma, math.pi / 4.0) if strips else None
     runs = []
     for cand in (w, w.negated()):
         reports = []
-        with mock.patch.object(testers, "rotation_to_first_axis", frame):
+        with (
+            mock.patch.object(testers, "rotation_to_first_axis", frame),
+            mock.patch.object(testers, "_CALIBRATION_REPS", 50),
+        ):
             survivors, examined = pipeline._vet_pairs(train, [cand], sigma, 0.05, tcfg, TARGET, theta, reports)
         runs.append((survivors and {v.coords.tobytes() for v in survivors}, examined, [r.accepted for r in reports]))
         runs[-1] += ([r for r in reports if r.checks[0].name.startswith("band_mass")],)

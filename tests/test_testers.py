@@ -192,15 +192,16 @@ def test_t1_verdict_permutation_invariant():
     assert [c.passed for c in rep.checks] == [c.passed for c in rep2.checks]
 
 
-def test_t1_custom_target_calibrated():
+def test_t1_custom_target_calibrated(monkeypatch):
+    monkeypatch.setattr(testers, "_CALIBRATION_REPS", 200)
     tilt = tilted_gaussian_target(0.5, 3)
     ds = sample_marginal(MarginalSpec("slc_exp_tilt", 3, lam=0.5), 30_000, RngSeed(205))
-    rep = moment_tester(ds, 2, TesterConfig(calibration_reps=200), tilt)
+    rep = moment_tester(ds, 2, CFG, tilt)
     assert rep.accepted
     # gaussian data against the tilt target matches at degree 2 as well
     # (both are isotropic); degree 4 separates them at this sample size
     ds_g = gaussian_dataset(100_000, 3, seed=206)
-    rep4 = moment_tester(ds_g, 4, TesterConfig(calibration_reps=200), tilt)
+    rep4 = moment_tester(ds_g, 4, CFG, tilt)
     fourth = next(c for c in rep4.checks if c.name == "moment_4_0_0")
     tilt_fourth = tilt.moment(MultiIndex((4, 0, 0)))
     # rescaling to unit variance leaves the tilted density with excess kurtosis
@@ -329,14 +330,14 @@ def test_band_moment_degree_formula():
     assert band_moment_degree(0.9, cap=8) == 2
 
 
-def test_t3_custom_target_path():
+def test_t3_custom_target_path(monkeypatch):
+    monkeypatch.setattr(testers, "_CALIBRATION_REPS", 100)
     tilt = tilted_gaussian_target(0.5, 3)
     ds = sample_marginal(MarginalSpec("slc_exp_tilt", 3, lam=0.5), 50_000, RngSeed(225))
-    cfg = TesterConfig(calibration_reps=100)
     w = project_to_sphere([1.0, 0, 0])
-    rep = band_moment_tester(ds, w, 0.4, 0.6, cfg, tilt)
+    rep = band_moment_tester(ds, w, 0.4, 0.6, CFG, tilt)
     assert rep.accepted
-    rep2 = band_moment_tester(ds, w, 0.4, 0.6, cfg, tilt)
+    rep2 = band_moment_tester(ds, w, 0.4, 0.6, CFG, tilt)
     assert rep.to_json_dict() == rep2.to_json_dict()  # cached oracle is deterministic
 
 
@@ -350,7 +351,8 @@ def test_t3_custom_theory_report_ignores_the_replicate_count(empty_oracle_cache,
     reports = []
     for reps in (2, 1000):
         testers.clear_oracle_cache()
-        cfg = TesterConfig(slack_mode="theory", calibration_reps=reps)
+        monkeypatch.setattr(testers, "_CALIBRATION_REPS", reps)
+        cfg = TesterConfig(slack_mode="theory")
         reports.append(band_moment_tester(ds, w, 0.4, 0.5, cfg, tilt))
     assert reports[0] == reports[1]
     assert len(reports[0].checks) == 2 + 34
@@ -358,7 +360,7 @@ def test_t3_custom_theory_report_ignores_the_replicate_count(empty_oracle_cache,
 
 @pytest.mark.parametrize("tau, k", [(0.8, 2), (0.5, 4)])
 @pytest.mark.parametrize("kind", ["gaussian", "tilt"])
-def test_t3_theory_thresholds_are_tau_over_d_to_2k(kind, tau, k):
+def test_t3_theory_thresholds_are_tau_over_d_to_2k(kind, tau, k, monkeypatch):
     d = 3
     if kind == "gaussian":
         target, ds = TARGET, gaussian_dataset(20_000, d, seed=226)
@@ -366,7 +368,8 @@ def test_t3_theory_thresholds_are_tau_over_d_to_2k(kind, tau, k):
         target = tilted_gaussian_target(0.5, d)
         ds = sample_marginal(MarginalSpec("slc_exp_tilt", d, lam=0.5), 20_000, RngSeed(227))
     assert testers.band_moment_degree(tau, testers.T3_DEGREE_CAP) == k
-    cfg = TesterConfig(slack_mode="theory", calibration_reps=2)
+    monkeypatch.setattr(testers, "_CALIBRATION_REPS", 2)
+    cfg = TesterConfig(slack_mode="theory")
     rep = band_moment_tester(ds, project_to_sphere([1.0, 0.5, -0.2]), 0.4, tau, cfg, target)
     band = [c for c in rep.checks if c.name.startswith("band_moment_")]
     assert len(band) == sum(len(list(exponent_tuples(d, deg))) for deg in range(1, k + 1))
@@ -474,10 +477,12 @@ def oracle_outputs() -> list[str]:
         out.append(gaussian_band_quantiles(3, 0.3, m, t3, cfg))
     tilt = testers.tilted_gaussian_target(0.5, 3)
     w = project_to_sphere([1.0, 0.5, -0.2])
-    cfg_small = testers.TesterConfig(calibration_reps=20)
+    from unittest import mock
+
     for n in (2_100, 12_000):  # about 500 and 2 800 in-band rows: sampled and CLT quantiles
         X = tilt.sample(n, 3, np.random.default_rng(n))
-        rep = testers.band_moment_tester(LabeledDataset(X, np.ones(n)), w, 0.3, 0.5, cfg_small, tilt)
+        with mock.patch.object(testers, "_CALIBRATION_REPS", 20):
+            rep = testers.band_moment_tester(LabeledDataset(X, np.ones(n)), w, 0.3, 0.5, cfg, tilt)
         out.append(np.array([(c.measured, c.threshold) for c in rep.checks]))
     return [q.tobytes().hex() for q in out]
 

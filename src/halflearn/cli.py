@@ -18,6 +18,7 @@ EXIT_USAGE = 2
 EXIT_REJECT = 3
 
 _ARTIFACT_VERSION = "0.1.0"
+_NOISES = ("massart-const", "massart-boundary", "agnostic-random", "agnostic-boundary")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,8 +44,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--lambda", dest="tilt_lambda", type=float, default=None, help="tilt for slc-tilt")
     g.add_argument("--mixture-params", type=str, default=None,
                    help='JSON {"weights":[...],"means":[[x,y],...],"scales":[...]}')
-    g.add_argument("--noise", default="none",
-                   choices=["none", "massart-const", "massart-boundary", "agnostic-random", "agnostic-boundary"])
+    g.add_argument("--noise", default="none", choices=["none", *_NOISES])
     g.add_argument("--eta", type=float, default=None)
     g.add_argument("--opt", type=float, default=None)
     g.add_argument("--width", type=float, default=None)
@@ -121,11 +121,16 @@ def _make_target(name: str, d: int):
     raise UsageExit(f"unknown target {name!r}")
 
 
+# flags whose argparse dest is not the flag's name with dashes as underscores
+_FLAG_DEST = {"--lambda": "tilt_lambda"}
+
+
 def _reject_unread_flags(args, readers: dict[str, tuple[str, tuple[str, ...], object]]) -> None:
     """Exit 2 naming a flag set away from its default that the chosen --option
     does not read; ``readers`` maps a flag to (option, its reading values, default)."""
     for flag, (opt, values, default) in readers.items():
-        if getattr(args, flag[2:]) != default and getattr(args, opt) not in values:
+        dest = _FLAG_DEST.get(flag, flag[2:].replace("-", "_"))
+        if getattr(args, dest) != default and getattr(args, opt) not in values:
             raise UsageExit(f"{flag} is read only with --{opt} {'/'.join(values)}")
 
 
@@ -153,6 +158,17 @@ def _manifest(path: str, command: str, config: dict, seed: int, start: float) ->
 
 def _cmd_gen(args) -> int:
     start = time.time()
+    _reject_unread_flags(args, {
+        "--scales": ("marginal", ("aniso",), None),
+        "--dof": ("marginal", ("student-t",), None),
+        "--lambda": ("marginal", ("slc-tilt",), None),
+        "--mixture-params": ("marginal", ("planar-mixture",), None),
+        "--width": ("noise", ("massart-boundary",), None),
+        "--eta": ("noise", _NOISES[:2], None),
+        "--opt": ("noise", _NOISES[2:], None),
+        "--planted": ("noise", _NOISES, None),
+        "--planted-out": ("noise", _NOISES, None),
+    })
     from . import datagen
     from .core import RngSeed, project_to_sphere
 

@@ -75,7 +75,8 @@ class UnitVector:
         return isinstance(other, UnitVector) and np.array_equal(self.coords, other.coords)
 
     def __hash__(self) -> int:
-        return hash(self.coords.tobytes())
+        # + 0.0 turns -0.0 into 0.0, which __eq__ treats as equal
+        return hash((self.coords + 0.0).tobytes())
 
 
 @dataclass(frozen=True)

@@ -230,8 +230,9 @@ def brute_force_opt_2d(S: LabeledDataset) -> tuple[float, UnitVector]:
 # twin holds what a parse would return: LabeledDataset guarantees finite points
 # and +-1 labels, and %.17g and %d round-trip those bit for bit.
 
-# Rows per formatted block: one %-format per block keeps the per-value work in
-# C, and the file is written block by block, so its whole text is never held.
+# Rows per written block: the file is written block by block, so its whole
+# text is never held.  csvtext.format_rows turns a block into its bytes in
+# passes of about 10k values, so its arrays stay small whatever the block.
 _CSV_BLOCK_ROWS = 32768
 _TWIN_MAGIC = b"HLTWIN01"
 _HASH_CHUNK = 1 << 20
@@ -241,22 +242,21 @@ def _csv_header(d: int) -> str:
     return "y," + ",".join(f"x{i + 1}" for i in range(d))
 
 
-def _csv_blocks(S: LabeledDataset) -> Iterator[str]:
+def _csv_blocks(S: LabeledDataset) -> Iterator[bytes]:
     """The header line, then the rows in blocks of _CSV_BLOCK_ROWS.
 
-    '%.17g' % v formats as f"{v:.17g}" does, and '%d' truncates the float
-    label as int() does.
-    """
-    yield _csv_header(S.d) + "\n"
-    row = "%d," + ",".join(["%.17g"] * S.d) + "\n"
+    A label of +-1 formats as '%d' and '%.17g' both print it."""
+    from .csvtext import format_rows  # its tables load only when a file is written
+
+    yield (_csv_header(S.d) + "\n").encode("ascii")
     for start in range(0, S.n, _CSV_BLOCK_ROWS):
         y = S.labels[start : start + _CSV_BLOCK_ROWS]
         X = S.points[start : start + _CSV_BLOCK_ROWS]
-        yield (row * len(y)) % tuple(np.column_stack([y, X]).ravel().tolist())
+        yield format_rows(np.column_stack([y, X]))
 
 
 def dataset_to_csv(S: LabeledDataset) -> str:
-    return "".join(_csv_blocks(S))
+    return b"".join(_csv_blocks(S)).decode("ascii")
 
 
 def write_dataset_csv(S: LabeledDataset, path: str) -> None:
@@ -269,9 +269,8 @@ def write_dataset_csv(S: LabeledDataset, path: str) -> None:
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         for block in _csv_blocks(S):
-            data = block.encode("ascii")
-            digest.update(data)
-            fh.write(data)
+            digest.update(block)
+            fh.write(block)
     twin = path + ".twin"
     tmp = f"{twin}.{os.getpid()}.tmp"
     try:

@@ -71,12 +71,44 @@ def test_gen_noise_needs_its_level_flag(tmp_path, capsys, noise, flag):
     from halflearn.cli import main
 
     out = tmp_path / "n.csv"
-    argv = ["gen", "--marginal", "gaussian", "--d", "3", "--n", "200", "--noise", noise, "--width", "0.5",
+    width = ["--width", "0.5"] if noise == "massart-boundary" else []
+    argv = ["gen", "--marginal", "gaussian", "--d", "3", "--n", "200", "--noise", noise, *width,
             "--planted", "random", "--seed", "4", "--out", str(out)]
     assert main(argv) == 2  # a missing level must not mean noise-free labels
     assert f"--noise {noise} requires {flag}" in capsys.readouterr().err
     assert not out.exists()
     assert main([*argv, flag, "0"]) == 0  # an explicit zero level is still valid
+
+
+@pytest.mark.parametrize("gen_flags, flag", [
+    (("gaussian", "--scales", "2,1,1"), "--scales"),
+    (("aniso", "--scales", "2,1,1", "--dof", "5"), "--dof"),
+    (("student-t", "--dof", "5", "--lambda", "0.8"), "--lambda"),  # its dest is tilt_lambda
+    (("slc-tilt", "--lambda", "0.8", "--mixture-params", "{}"), "--mixture-params"),
+    (("gaussian", "--noise", "massart-const", "--eta", "0.2", "--width", "0.5", "--planted", "random"), "--width"),
+    (("gaussian", "--noise", "agnostic-random", "--opt", "0.1", "--eta", "0.2", "--planted", "random"), "--eta"),
+    (("gaussian", "--noise", "massart-boundary", "--eta", "0.2", "--width", "0.5", "--opt", "0.1",
+      "--planted", "random"), "--opt"),
+    (("gaussian", "--eta", "0"), "--eta"),  # an explicit zero is still set
+    (("gaussian", "--planted", "random"), "--planted"),
+    (("gaussian", "--planted-out", "w.json"), "--planted-out"),
+    (("planar-mixture", "--mixture-params", '{"weights": [1], "means": [[0, 0]], "scales": [1]}', "--noise",
+      "massart-boundary", "--eta", "0.2", "--width", "0.5", "--planted", "random", "--planted-out", "w.json"),
+     None),
+])
+def test_gen_rejects_flags_its_marginal_or_noise_does_not_read(tmp_path, capsys, monkeypatch, gen_flags, flag):
+    from halflearn.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    marginal, *rest = gen_flags
+    argv = ["gen", "--marginal", marginal, "--d", "3", "--n", "200", *rest, "--seed", "4", "--out", "g.csv"]
+    if flag is None:  # every flag is read: the control
+        assert main(argv) == 0
+        assert (tmp_path / "g.csv").is_file() and (tmp_path / "w.json").is_file()
+        return
+    assert main(argv) == 2
+    assert f"halflearn: {flag} is read only with --" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == []  # nothing sampled or written
 
 
 def test_t1_accept_and_reject(tmp_path):

@@ -95,6 +95,14 @@ def test_unit_vector_validation():
     assert w.negated() == UnitVector(np.array([0.0, -1.0]))
 
 
+def test_unit_vectors_equal_up_to_signed_zeros_hash_equal():
+    a, b = UnitVector(np.array([0.0, 1.0])), UnitVector(np.array([-0.0, 1.0]))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert hash(a.negated()) == hash(UnitVector(np.array([0.0, -1.0])))  # negated() makes -0.0
+    assert a.coords.tobytes() != b.coords.tobytes()  # the coordinates themselves keep their sign
+
+
 def test_labeled_dataset_validation():
     with pytest.raises(ValueError):
         LabeledDataset(np.ones((3, 2)), np.ones(2))

@@ -1,10 +1,14 @@
 import math
+import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from halflearn import datagen
+from halflearn import csvtext, datagen
 from halflearn.core import LabeledDataset, RngSeed, project_to_sphere
 from halflearn.datagen import (
     MarginalSpec,
@@ -268,6 +272,109 @@ def test_block_writer_matches_reference_formatter(tmp_path, monkeypatch, n):
     assert np.array_equal(np.signbit(back.points), np.signbit(S.points))  # -0.0 stays -0.0
     assert np.array_equal(back.labels, S.labels)
     _assert_same_bits(hit, back)
+
+
+# ---------------------------------------------------------------------------
+# the exact '%.17g' kernel, value by value against Python's formatter
+
+
+def _assert_prints_like_g17(values):
+    """csvtext.format_rows of a one-column block gives '%.17g' % v for each v."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    got = csvtext.format_rows(v[:, None]).decode("ascii").split("\n")
+    assert len(got) == len(v) + 1 and got[-1] == ""
+    bad = [(x, g, "%.17g" % x) for x, g in zip(v, got) if g != "%.17g" % x]
+    assert not bad, f"{len(bad)} of {len(v)} differ, first (value, kernel, printf): {bad[:3]}"
+
+
+def _neighbours(x, ulps):
+    """x and the ulps doubles on each side of it."""
+    out, lo, hi = [x], x, x
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_kernel_matches_printf_on_floats(values):
+    _assert_prints_like_g17(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_kernel_matches_printf_on_bit_patterns(patterns):
+    v = np.array(patterns, dtype=np.uint64).view(np.float64)
+    assume(np.isfinite(v).any())
+    _assert_prints_like_g17(v[np.isfinite(v)])
+
+
+def test_kernel_matches_printf_around_powers_of_ten():
+    # the double nearest 1e-07 lies below it and keeps 17 digits: a decimal
+    # exponent checked on the rounded digits instead of the truncated ones
+    # would print it as 1e-07
+    assert "%.17g" % 1e-7 == "9.9999999999999995e-08"
+    values = [u for p in range(-30, 31) for u in _neighbours(10.0**p, 2)]
+    _assert_prints_like_g17(values + [-u for u in values])
+
+
+def _exact_ties(per_exponent, seed):
+    """Doubles m / 2**j, m odd, with 18 significant digits, the last a 5: each
+    lies exactly halfway between two 17-digit decimals."""
+    rng = random.Random(seed)
+    ties = []
+    for X in range(-8, 16):  # below 1e-8 no odd m / 2**(17 - X) reaches 10**X; from 1e16 m needs > 53 bits
+        j = 17 - X
+        lo = math.ceil(Fraction(10) ** X * 2**j)
+        hi = min(math.ceil(Fraction(10) ** (X + 1) * 2**j), 2**53)
+        ties += [(rng.randrange(lo, hi - 1) | 1) / 2**j for _ in range(per_exponent)]
+    return ties
+
+
+def test_kernel_rounds_exact_ties_to_even():
+    ties = _exact_ties(40, seed=17)
+    for x in ties:
+        X = math.floor(math.log10(x))
+        assert (Fraction(x) * Fraction(10) ** (16 - X)).denominator == 2, x
+    # printf goes down on some ties and up on others: half to even, not half up or down
+    directions = {Fraction("%.17g" % x) > Fraction(x) for x in ties}
+    assert directions == {False, True}
+    _assert_prints_like_g17(ties + [-x for x in ties])
+
+
+def test_kernel_matches_printf_at_the_style_boundaries():
+    # %g switches between fixed and exponent notation at X = -5/-4 and 16/17
+    edges = [1e-4, 1.5e-4, 9.5e-5, 1.25e-5, 1e16, 1.5e16, 99999999999999984.0, 1e17, 1.5e17, 1e-11, 1e-10]
+    values = [u for x in edges for u in _neighbours(x, 2)]
+    _assert_prints_like_g17(values + [-u for u in values])
+
+
+def test_kernel_matches_printf_outside_its_exact_range():
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300,
+              np.finfo(np.float64).max, -np.finfo(np.float64).max, 1e300, 9.9e-12, 2e17]
+    _assert_prints_like_g17(values)
+    # a block in which every value takes the per-value path, in rows of three
+    block = np.array(values).reshape(4, 3)
+    want = "".join(",".join("%.17g" % x for x in row) + "\n" for row in block)
+    assert csvtext.format_rows(block).decode("ascii") == want
+
+
+_MARGINAL_SPECS = [
+    MarginalSpec("standard_gaussian", 3),
+    MarginalSpec("aniso_gaussian", 3, scales=(1e-6, 1.0, 1e6)),
+    MarginalSpec("student_t", 3, dof=3.0),
+    MarginalSpec("slc_exp_tilt", 3, lam=0.8),
+    MarginalSpec("planar_mixture", 3, mixture=PlanarMixtureParams((0.5, 0.5), ((-30.0, 0.0), (30.0, 0.0)), (0.5, 0.5))),
+]
+
+
+@pytest.mark.parametrize("spec", _MARGINAL_SPECS, ids=lambda spec: spec.kind)
+def test_csv_text_of_each_marginal_matches_the_reference_formatter(spec):
+    X = sample_marginal(spec, 3000, RngSeed(28))
+    S = apply_noise(X, NoiseSpec("agnostic_random", project_to_sphere([1.0, 1.0, 0.0]), opt=0.1), RngSeed(29))
+    assert set(S.labels) == {-1.0, 1.0}  # both label texts, '%d' of -1 and of 1
+    assert dataset_to_csv(S) == _reference_csv(S)
 
 
 def _read_without_parsing(path, monkeypatch):

@@ -30,7 +30,8 @@ class UsageExit(Exception):
     pass
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and each command's own parser, by name."""
     p = _Parser(prog="halflearn", description="Tester-learners for noisy halfspaces.")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -87,7 +88,7 @@ def _build_parser() -> _Parser:
     e.add_argument("--planted", type=str, default=None)
     e.add_argument("--oracle-2d", action="store_true")
     e.add_argument("--out", required=True)
-    return p
+    return p, sub.choices
 
 
 def _read_vector(text_or_path: str, d: int):
@@ -121,17 +122,80 @@ def _make_target(name: str, d: int):
     raise UsageExit(f"unknown target {name!r}")
 
 
-# flags whose argparse dest is not the flag's name with dashes as underscores
-_FLAG_DEST = {"--lambda": "tilt_lambda"}
+# Which flags each choice reads, one row per flag: (flag, conditions, required).
+# The flag is read only where every condition (option: its reading values)
+# holds, and set away from its default anywhere else it is a usage error.  A
+# required flag must be given wherever it is read; a flag whose default is None
+# is required there, --planted-out alone excepted.  Flags that no row names are
+# read by every choice of their command.
+_READS = {
+    "gen": (
+        ("--scales", {"--marginal": ("aniso",)}, True),
+        ("--dof", {"--marginal": ("student-t",)}, True),
+        ("--lambda", {"--marginal": ("slc-tilt",)}, True),
+        ("--mixture-params", {"--marginal": ("planar-mixture",)}, True),
+        ("--eta", {"--noise": _NOISES[:2]}, True),
+        ("--opt", {"--noise": _NOISES[2:]}, True),
+        ("--width", {"--noise": ("massart-boundary",)}, True),
+        ("--planted", {"--noise": _NOISES}, True),
+        ("--planted-out", {"--noise": _NOISES}, False),
+    ),
+    # strip_tester tests N(0, I) only, and neither band_mass_tester nor
+    # strip_tester reads its TesterConfig; theory thresholds do not use delta
+    "test": (
+        ("--k", {"--tester": ("t1",)}, True),
+        ("--w", {"--tester": ("t2", "t3", "t4")}, True),
+        ("--sigma", {"--tester": ("t2", "t3")}, True),
+        ("--tau", {"--tester": ("t3",)}, True),
+        ("--theta", {"--tester": ("t4",)}, True),
+        ("--target", {"--tester": ("t1", "t2", "t3")}, False),
+        ("--slack-mode", {"--tester": ("t1", "t3")}, False),
+        ("--delta", {"--tester": ("t1", "t3"), "--slack-mode": ("calibrated",)}, False),
+    ),
+    "learn": (
+        ("--eta", {"--mode": ("massart",)}, True),
+        ("--submode", {"--mode": ("agnostic",)}, True),
+        ("--k", {"--submode": ("slc-fixed-k",)}, True),
+        ("--delta", {"--slack-mode": ("calibrated",)}, False),
+    ),
+}
 
 
-def _reject_unread_flags(args, readers: dict[str, tuple[str, tuple[str, ...], object]]) -> None:
-    """Exit 2 naming a flag set away from its default that the chosen --option
-    does not read; ``readers`` maps a flag to (option, its reading values, default)."""
-    for flag, (opt, values, default) in readers.items():
-        dest = _FLAG_DEST.get(flag, flag[2:].replace("-", "_"))
-        if getattr(args, dest) != default and getattr(args, opt) not in values:
-            raise UsageExit(f"{flag} is read only with --{opt} {'/'.join(values)}")
+def _dest(flag: str) -> str:
+    return "tilt_lambda" if flag == "--lambda" else flag[2:].replace("-", "_")
+
+
+def _check_flags(args, parser: argparse.ArgumentParser) -> None:
+    """Exit 2 naming a flag set away from its default where the chosen options
+    do not read it, and then a required flag missing where they do; ``parser``
+    is the command's own, which holds the defaults."""
+    value = lambda flag: getattr(args, _dest(flag))
+    rows = _READS.get(args.command, ())
+    for flag, reads_on, _ in rows:
+        if value(flag) != parser.get_default(_dest(flag)):
+            for option, values in reads_on.items():
+                if value(option) not in values:
+                    raise UsageExit(f"{flag} is read only with {option} {'/'.join(values)}")
+    for flag, reads_on, required in rows:
+        if required and value(flag) is None and all(value(o) in v for o, v in reads_on.items()):
+            raise UsageExit(" ".join(f"{o} {value(o)}" for o in reads_on) + f" requires {flag}")
+
+
+def _number_list(obj) -> bool:
+    return isinstance(obj, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
+
+
+def _mixture_params(text: str):
+    from .datagen import PlanarMixtureParams
+
+    raw = json.loads(text)
+    if not (isinstance(raw, dict) and _number_list(raw.get("weights")) and _number_list(raw.get("scales"))
+            and isinstance(raw.get("means"), list) and all(_number_list(m) for m in raw["means"])):
+        raise UsageExit('--mixture-params must be {"weights": [...], "means": [[x, y], ...], "scales": [...]}')
+    try:
+        return PlanarMixtureParams(tuple(raw["weights"]), tuple(map(tuple, raw["means"])), tuple(raw["scales"]))
+    except ValueError as exc:
+        raise UsageExit(f"--mixture-params: {exc}") from exc
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -157,24 +221,9 @@ def _manifest(path: str, command: str, config: dict, seed: int, start: float) ->
 
 
 def _cmd_gen(args) -> int:
-    start = time.time()
-    _reject_unread_flags(args, {
-        "--scales": ("marginal", ("aniso",), None),
-        "--dof": ("marginal", ("student-t",), None),
-        "--lambda": ("marginal", ("slc-tilt",), None),
-        "--mixture-params": ("marginal", ("planar-mixture",), None),
-        "--width": ("noise", ("massart-boundary",), None),
-        "--eta": ("noise", _NOISES[:2], None),
-        "--opt": ("noise", _NOISES[2:], None),
-        "--planted": ("noise", _NOISES, None),
-        "--planted-out": ("noise", _NOISES, None),
-    })
     from . import datagen
     from .core import RngSeed, project_to_sphere
 
-    for prefix, flag, value in (("massart", "--eta", args.eta), ("agnostic", "--opt", args.opt)):
-        if args.noise.startswith(prefix) and value is None:
-            raise UsageExit(f"--noise {args.noise} requires {flag}")
     seed = RngSeed(args.seed)
     kind = {
         "gaussian": "standard_gaussian",
@@ -184,12 +233,7 @@ def _cmd_gen(args) -> int:
         "planar-mixture": "planar_mixture",
     }[args.marginal]
     scales = tuple(float(v) for v in args.scales.split(",")) if args.scales else None
-    mixture = None
-    if args.mixture_params:
-        raw = json.loads(args.mixture_params)
-        mixture = datagen.PlanarMixtureParams(
-            tuple(raw["weights"]), tuple(tuple(m) for m in raw["means"]), tuple(raw["scales"])
-        )
+    mixture = _mixture_params(args.mixture_params) if args.mixture_params else None
     try:
         spec = datagen.MarginalSpec(kind=kind, d=args.d, scales=scales, dof=args.dof,
                                     lam=args.tilt_lambda, mixture=mixture)
@@ -199,8 +243,6 @@ def _cmd_gen(args) -> int:
 
     planted_coords = None
     if args.noise != "none":
-        if args.planted is None:
-            raise UsageExit("--noise requires --planted (random or a vector file)")
         if args.planted == "random":
             rng = seed.generator(99)
             planted = project_to_sphere(rng.standard_normal(args.d))
@@ -223,80 +265,48 @@ def _cmd_gen(args) -> int:
             _write_json(args.planted_out, {"coords": planted_coords})
 
     datagen.write_dataset_csv(ds, args.out)
-    config = {k: v for k, v in vars(args).items() if k != "command"}
-    config["planted_coords"] = planted_coords
-    _manifest(args.out, "gen", config, args.seed, start)
+    args.planted_coords = planted_coords  # recorded in the manifest
     return EXIT_OK
 
 
 def _cmd_test(args) -> int:
-    start = time.time()
     from . import testers
     from .core import RngSeed
     from .datagen import read_dataset_csv
 
-    # strip_tester tests N(0, I) only, so t4 reads no --target
-    _reject_unread_flags(args, {
-        "--k": ("tester", ("t1",), None),
-        "--w": ("tester", ("t2", "t3", "t4"), None),
-        "--sigma": ("tester", ("t2", "t3"), None),
-        "--tau": ("tester", ("t3",), None),
-        "--theta": ("tester", ("t4",), None),
-        "--target": ("tester", ("t1", "t2", "t3"), "gaussian"),
-    })
     ds = read_dataset_csv(args.data)
     cfg = testers.TesterConfig(
         slack_mode=args.slack_mode, delta=args.delta, calibration_seed=RngSeed(args.seed)
     )
     target = _make_target(args.target, ds.d)
-    name = args.tester
-    if name == "t1":
-        if args.k is None:
-            raise UsageExit("t1 requires --k")
+    if args.tester == "t1":
         report = testers.moment_tester(ds, args.k, cfg, target)
-    elif name == "t2":
-        if args.w is None or args.sigma is None:
-            raise UsageExit("t2 requires --w and --sigma")
+    elif args.tester == "t2":
         report = testers.band_mass_tester(ds, _read_vector(args.w, ds.d), args.sigma, cfg, target)
-    elif name == "t3":
-        if args.w is None or args.sigma is None or args.tau is None:
-            raise UsageExit("t3 requires --w, --sigma and --tau")
-        report = testers.band_moment_tester(
-            ds, _read_vector(args.w, ds.d), args.sigma, args.tau, cfg, target
-        )
+    elif args.tester == "t3":
+        report = testers.band_moment_tester(ds, _read_vector(args.w, ds.d), args.sigma, args.tau, cfg, target)
     else:
-        if args.w is None or args.theta is None:
-            raise UsageExit("t4 requires --w and --theta")
         report = testers.strip_tester(ds, _read_vector(args.w, ds.d), args.theta, cfg)
     _write_json(args.out, report.to_json_dict())
-    config = {k: v for k, v in vars(args).items() if k != "command"}
-    _manifest(args.out, "test", config, args.seed, start)
     return EXIT_OK if report.accepted else EXIT_REJECT
 
 
 def _cmd_learn(args) -> int:
-    start = time.time()
     from . import pipeline, testers
     from .core import RngSeed
     from .datagen import read_dataset_csv
 
-    _reject_unread_flags(args, {"--eta": ("mode", ("massart",), None), "--submode": ("mode", ("agnostic",), None),
-                                "--k": ("submode", ("slc-fixed-k",), None)})
     train = read_dataset_csv(args.train)
     holdout = read_dataset_csv(args.holdout)
     seed = RngSeed(args.seed)
     tcfg = testers.TesterConfig(slack_mode=args.slack_mode, calibration_seed=seed.child(7))
     target = _make_target(args.target, train.d)
     if args.mode == "massart":
-        if args.eta is None:
-            raise UsageExit("massart mode requires --eta")
         cfg = pipeline.MassartConfig(
             eta=args.eta, epsilon=args.epsilon, delta=args.delta, seed=seed, tester_cfg=tcfg
         )
         result = pipeline.learn_massart(train, holdout, cfg, target)
     else:
-        if args.submode is None:
-            raise UsageExit("agnostic mode requires --submode")
         acfg = pipeline.AgnosticConfig(
             epsilon=args.epsilon,
             delta=args.delta,
@@ -307,8 +317,6 @@ def _cmd_learn(args) -> int:
         )
         result = pipeline.learn_agnostic(train, holdout, acfg, target)
     _write_json(args.out, result.to_json_dict())
-    config = {k: v for k, v in vars(args).items() if k != "command"}
-    _manifest(args.out, "learn", config, args.seed, start)
     return EXIT_REJECT if result.rejected else EXIT_OK
 
 
@@ -325,7 +333,7 @@ def _cmd_eval(args) -> int:
         metrics["planted_error"] = empirical_error(ds, planted)
     if args.oracle_2d:
         if ds.d != 2:
-            raise UsageExit("--oracle-2d requires a 2-dimensional dataset")
+            raise UsageExit(f"--oracle-2d needs a 2-dimensional dataset, not d={ds.d}")
         opt, w_opt = datagen.brute_force_opt_2d(ds)
         metrics["opt_2d"] = opt
         metrics["w_opt"] = [float(v) for v in w_opt.coords]
@@ -335,9 +343,10 @@ def _cmd_eval(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_flags(args, commands[args.command])
     except UsageExit as exc:
         print(f"halflearn: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -345,14 +354,14 @@ def main(argv: list[str] | None = None) -> int:
     # count.  It takes effect because numpy loads only once a command runs.
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
+    start = time.time()
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "test":
-            return _cmd_test(args)
-        if args.command == "learn":
-            return _cmd_learn(args)
-        return _cmd_eval(args)
+        run = {"gen": _cmd_gen, "test": _cmd_test, "learn": _cmd_learn, "eval": _cmd_eval}[args.command]
+        code = run(args)
+        if args.command != "eval":  # the full flag map, and gen's planted_coords
+            config = {k: v for k, v in vars(args).items() if k != "command"}
+            _manifest(args.out, args.command, config, args.seed, start)
+        return code
     except (UsageExit, OSError, json.JSONDecodeError) as exc:
         print(f"halflearn: {exc}", file=sys.stderr)
         return EXIT_USAGE

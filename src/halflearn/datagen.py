@@ -37,6 +37,8 @@ class PlanarMixtureParams:
             raise ValueError("weights, means, scales must have equal positive length")
         if any(w <= 0 for w in self.weights) or any(s <= 0 for s in self.scales):
             raise ValueError("weights and scales must be positive")
+        if any(len(m) != 2 for m in self.means):
+            raise ValueError("each mean must be a pair (x1, x2)")
 
 
 @dataclass(frozen=True)

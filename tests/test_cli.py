@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -23,6 +24,14 @@ def run_cli(*args):
         timeout=600,
         env=child_env(),
     )
+
+
+def assert_flag_error(err, flag, argv):
+    """A flag that was given is named as unread; one that was not, as required."""
+    if flag in argv:
+        assert re.fullmatch(rf"halflearn: {flag} is read only with --\S+ \S+\n", err), err
+    else:
+        assert re.fullmatch(rf"halflearn: (--\S+ \S+ )+requires {flag}\n", err), err
 
 
 def gen_gaussian(tmp_path, name="g.csv", n=20_000, d=4, seed=5, extra=()):
@@ -95,6 +104,12 @@ def test_gen_noise_needs_its_level_flag(tmp_path, capsys, noise, flag):
     (("planar-mixture", "--mixture-params", '{"weights": [1], "means": [[0, 0]], "scales": [1]}', "--noise",
       "massart-boundary", "--eta", "0.2", "--width", "0.5", "--planted", "random", "--planted-out", "w.json"),
      None),
+    # a flag that is read but missing
+    (("gaussian", "--noise", "massart-boundary", "--eta", "0.2", "--planted", "random"), "--width"),
+    (("aniso",), "--scales"),
+    (("planar-mixture",), "--mixture-params"),
+    (("gaussian", "--noise", "agnostic-random", "--opt", "0.1"), "--planted"),
+    (("gaussian", "--noise", "none"), None),  # the default, given explicitly
 ])
 def test_gen_rejects_flags_its_marginal_or_noise_does_not_read(tmp_path, capsys, monkeypatch, gen_flags, flag):
     from halflearn.cli import main
@@ -104,11 +119,53 @@ def test_gen_rejects_flags_its_marginal_or_noise_does_not_read(tmp_path, capsys,
     argv = ["gen", "--marginal", marginal, "--d", "3", "--n", "200", *rest, "--seed", "4", "--out", "g.csv"]
     if flag is None:  # every flag is read: the control
         assert main(argv) == 0
-        assert (tmp_path / "g.csv").is_file() and (tmp_path / "w.json").is_file()
+        assert (tmp_path / "g.csv").is_file()
+        assert (tmp_path / "w.json").is_file() == ("--planted-out" in argv)
         return
     assert main(argv) == 2
-    assert f"halflearn: {flag} is read only with --" in capsys.readouterr().err
+    assert_flag_error(capsys.readouterr().err, flag, argv)
     assert sorted(p.name for p in tmp_path.iterdir()) == []  # nothing sampled or written
+
+
+@pytest.mark.parametrize("params", [
+    "{}",
+    '{"weights": 1, "means": [[0, 0]], "scales": [1]}',
+    "[1]",
+    '{"weights": [1], "means": [0], "scales": [1]}',
+    '{"weights": ["1"], "means": [[0, 0]], "scales": [1]}',
+    '{"weights": [1], "means": [[0, 0, 0]], "scales": [1]}',  # not a pair
+])
+def test_gen_rejects_malformed_mixture_params(tmp_path, capsys, monkeypatch, params):
+    from halflearn.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    argv = ["gen", "--marginal", "planar-mixture", "--mixture-params", params, "--d", "3", "--n", "200",
+            "--seed", "4", "--out", "g.csv"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("halflearn: --mixture-params")
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+# flags that every choice of their command reads, so no table row names them
+_READ_BY_ALL = {"gen": {"--noise"}, "test": set(), "learn": {"--slack-mode", "--target"},
+                "eval": {"--planted", "--oracle-2d"}}
+
+
+def test_every_optional_flag_is_a_table_row_or_read_by_all():
+    from halflearn.cli import _READS, _build_parser
+
+    _, commands = _build_parser()
+    for command, parser in commands.items():
+        actions = {a.option_strings[-1]: a for a in parser._actions if a.option_strings and a.dest != "help"}
+        optional = {flag for flag, a in actions.items() if not a.required}
+        rows = _READS.get(command, ())
+        assert optional == {row[0] for row in rows} | _READ_BY_ALL[command], command
+        for flag, reads_on, required in rows:
+            assert flag not in _READ_BY_ALL[command]
+            # a flag that defaults to None is required wherever it is read
+            assert required == (actions[flag].default is None and flag != "--planted-out"), flag
+            for option, values in reads_on.items():
+                assert set(values) <= set(actions[option].choices), (flag, option)
 
 
 def test_t1_accept_and_reject(tmp_path):
@@ -241,6 +298,15 @@ def test_learn_agnostic_cli_and_mode_mismatch(tmp_path):
     (("--mode", "massart", "--eta", "0.1", "--k", "4"), "--k"),
     (("--mode", "agnostic", "--submode", "slc-auto-k", "--k", "4"), "--k"),
     (("--mode", "agnostic", "--submode", "gaussian", "--k", "2"), "--k"),
+    # theory thresholds do not use delta
+    (("--mode", "massart", "--eta", "0.1", "--slack-mode", "theory", "--delta", "0.9"), "--delta"),
+    (("--mode", "agnostic", "--submode", "gaussian", "--slack-mode", "theory", "--delta", "0.9"), "--delta"),
+    (("--mode", "agnostic", "--submode", "slc-fixed-k"), "--k"),  # read but missing
+    (("--mode", "massart"), "--eta"),
+    # the defaults, given explicitly
+    (("--mode", "massart", "--eta", "0.1", "--slack-mode", "theory", "--delta", "0.05"), None),
+    (("--mode", "agnostic", "--submode", "gaussian", "--slack-mode", "calibrated", "--delta", "0.05",
+      "--target", "gaussian"), None),
 ])
 def test_learn_rejects_flags_its_mode_does_not_read(tmp_path, capsys, mode_flags, flag):
     from halflearn.cli import main
@@ -250,7 +316,11 @@ def test_learn_rejects_flags_its_mode_does_not_read(tmp_path, capsys, mode_flags
     argv = ["learn", *mode_flags, "--train", str(tmp_path / "t.csv"), "--holdout", str(tmp_path / "h.csv"),
             "--epsilon", "0.5", "--seed", "1", "--out", str(out)]
     assert main(argv) == 2
-    assert f"halflearn: {flag} is read only with" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if flag is None:
+        assert err == f"halflearn: [Errno 2] No such file or directory: {str(tmp_path / 't.csv')!r}\n"
+    else:
+        assert_flag_error(err, flag, argv)
     assert not out.exists()
 
 
@@ -262,6 +332,20 @@ def test_learn_rejects_flags_its_mode_does_not_read(tmp_path, capsys, mode_flags
     (("t3", "--w", "1,0,0", "--sigma", "0.5", "--tau", "0.5", "--theta", "0.2"), "--theta"),
     (("t4", "--w", "1,0,0", "--theta", "0.2", "--target", "tilt:0.5"), "--target"),  # t4 tests N(0, I) only
     (("t4", "--w", "1,0,0", "--theta", "0.2", "--target", "gaussian"), None),  # the default is read by all
+    # band_mass_tester and strip_tester read no TesterConfig
+    (("t2", "--w", "1,0,0", "--sigma", "0.5", "--slack-mode", "theory"), "--slack-mode"),
+    (("t2", "--w", "1,0,0", "--sigma", "0.5", "--delta", "0.9"), "--delta"),
+    (("t4", "--w", "1,0,0", "--theta", "0.2", "--slack-mode", "theory"), "--slack-mode"),
+    (("t4", "--w", "1,0,0", "--theta", "0.2", "--delta", "0.9"), "--delta"),
+    # theory thresholds do not use delta
+    (("t1", "--k", "2", "--slack-mode", "theory", "--delta", "0.9"), "--delta"),
+    (("t3", "--w", "1,0,0", "--sigma", "0.5", "--tau", "0.5", "--slack-mode", "theory", "--delta", "0.9"), "--delta"),
+    # a flag that is read but missing
+    (("t3", "--w", "1,0,0", "--sigma", "0.5"), "--tau"),
+    (("t1",), "--k"),
+    # the defaults, given explicitly
+    (("t4", "--w", "1,0,0", "--theta", "0.2", "--slack-mode", "calibrated", "--delta", "0.05"), None),
+    (("t1", "--k", "2", "--slack-mode", "theory", "--delta", "0.05"), None),
 ])
 def test_test_rejects_flags_its_tester_does_not_read(tmp_path, capsys, tester_flags, flag):
     from halflearn.cli import main
@@ -274,7 +358,7 @@ def test_test_rejects_flags_its_tester_does_not_read(tmp_path, capsys, tester_fl
     if flag is None:
         assert "is read only with" not in err and "d.csv" in err
     else:
-        assert f"halflearn: {flag} is read only with --tester" in err
+        assert_flag_error(err, flag, argv)
     assert not out.exists()
 
 

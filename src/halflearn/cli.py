@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -112,14 +113,26 @@ def _read_vector(text_or_path: str, d: int):
     return project_to_sphere(vec)
 
 
-def _make_target(name: str, d: int):
+def _target_lambda(spec: str) -> float | None:
+    """The tilt of a --target spec, None for the Gaussian; checked before any
+    file is read, as the target itself needs the data's d."""
+    if spec == "gaussian":
+        return None
+    name, _, lam = spec.partition(":")
+    try:
+        value = float(lam) if name == "tilt" else math.nan
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise UsageExit(f"--target must be gaussian or tilt:<lambda> with a finite lambda >= 0, not {spec!r}")
+    return value
+
+
+def _make_target(spec: str, d: int):
     from . import testers
 
-    if name == "gaussian":
-        return testers.standard_gaussian_target()
-    if name.startswith("tilt:"):
-        return testers.tilted_gaussian_target(float(name.split(":", 1)[1]), d)
-    raise UsageExit(f"unknown target {name!r}")
+    lam = _target_lambda(spec)
+    return testers.standard_gaussian_target() if lam is None else testers.tilted_gaussian_target(lam, d)
 
 
 # Which flags each choice reads, one row per flag: (flag, conditions, required).
@@ -188,7 +201,10 @@ def _number_list(obj) -> bool:
 def _mixture_params(text: str):
     from .datagen import PlanarMixtureParams
 
-    raw = json.loads(text)
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageExit(f"--mixture-params is not JSON: {exc}") from exc
     if not (isinstance(raw, dict) and _number_list(raw.get("weights")) and _number_list(raw.get("scales"))
             and isinstance(raw.get("means"), list) and all(_number_list(m) for m in raw["means"])):
         raise UsageExit('--mixture-params must be {"weights": [...], "means": [[x, y], ...], "scales": [...]}')
@@ -232,7 +248,10 @@ def _cmd_gen(args) -> int:
         "slc-tilt": "slc_exp_tilt",
         "planar-mixture": "planar_mixture",
     }[args.marginal]
-    scales = tuple(float(v) for v in args.scales.split(",")) if args.scales else None
+    try:
+        scales = tuple(float(v) for v in args.scales.split(",")) if args.scales else None
+    except ValueError as exc:
+        raise UsageExit(f"--scales must be a comma list of numbers, not {args.scales!r}") from exc
     mixture = _mixture_params(args.mixture_params) if args.mixture_params else None
     try:
         spec = datagen.MarginalSpec(kind=kind, d=args.d, scales=scales, dof=args.dof,
@@ -347,6 +366,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_flags(args, commands[args.command])
+        if args.command in ("test", "learn"):
+            _target_lambda(args.target)
     except UsageExit as exc:
         print(f"halflearn: {exc}", file=sys.stderr)
         return EXIT_USAGE

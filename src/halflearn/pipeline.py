@@ -2,15 +2,17 @@
 
 ``learn_massart`` handles bounded (Massart) label noise at a fixed ramp width;
 ``learn_agnostic`` handles arbitrary labels by sweeping a grid of ramp widths.
-Both run one search (``_search``): PSGD at each width, band vetting of every
-optimizer candidate (and its negation), and the holdout-error argmin among
-the pooled survivors, or a rejection carrying the offending tester report.
+Both run one search (``_search``): PSGD at each width, the holdout-error
+argmin among every optimizer candidate and its negation, and band vetting of
+that one orientation, which it returns or rejects with the offending tester
+report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,40 +169,30 @@ def _pipeline_psgd_config(sigma: float, grad_target: float, n: int, seed: RngSee
     )
 
 
-def _vet_pairs(
-    train: LabeledDataset,
-    cands: list[UnitVector],
-    sigma: float,
-    tau: float,
-    tcfg: TesterConfig,
-    target: TargetMarginal,
-    theta: float | None,
-    reports: list[TesterReport],
-) -> tuple[list[UnitVector] | None, int]:
-    """Vet every candidate and then its negation.  Returns the survivors (each
-    candidate followed by its negation) and the number of orientations
-    examined; survivors is None as soon as one orientation fails.  t3 runs
-    for w only: -w has the same bands and, in the frame diag(-1, I) H(w), the
-    same in-band deviations.  t4 runs for both, as strips are not symmetric."""
-    survivors: list[UnitVector] = []
-    examined = 0
-    for w in cands:
-        bands = []
-        for width in (sigma / 2.0, sigma / 6.0):
-            bands.append(band_moment_tester(train, w, width, tau, tcfg, target))
-            if not bands[-1].accepted:
-                break
-        for orient in (w, w.negated()):
-            examined += 1
-            reports.extend(bands)
-            if not bands[-1].accepted:
-                return None, examined
-            if theta is not None:
-                reports.append(strip_tester(train, orient, theta, tcfg))
-                if not reports[-1].accepted:
-                    return None, examined
-            survivors.append(orient)
-    return survivors, examined
+class _Orientation(NamedTuple):
+    """One entry of the holdout pool: orientation h, the PSGD candidate w it
+    came from (h or -h), and how h is vetted at its width sigma."""
+
+    h: UnitVector
+    w: UnitVector
+    sigma: float
+    tcfg: TesterConfig
+    theta: float | None
+
+
+def _vet(train: LabeledDataset, o: _Orientation, target: TargetMarginal, reports: list[TesterReport]) -> bool:
+    """t3 at sigma/2 and then sigma/6, and t4 at theta if set; stops at the
+    first rejection.  t3 runs on the generating candidate w: for h = -w that
+    is the frame diag(-1, I) H(w), which maps -w to e1 and gives -w the same
+    band reports as w.  t4 runs on h, as strips are not symmetric."""
+    for width in (o.sigma / 2.0, o.sigma / 6.0):
+        reports.append(band_moment_tester(train, o.w, width, C2, o.tcfg, target))
+        if not reports[-1].accepted:
+            return False
+    if o.theta is None:
+        return True
+    reports.append(strip_tester(train, o.h, o.theta, o.tcfg))
+    return reports[-1].accepted
 
 
 def _search(
@@ -211,16 +203,16 @@ def _search(
     target: TargetMarginal,
     strips: bool,
     reports: list[TesterReport],
-) -> tuple[int, float, UnitVector | None, float | None]:
-    """PSGD -> vet -> select over ramp widths, each (sigma, grad_target, seed).
+) -> tuple[float, UnitVector | None, float | None]:
+    """PSGD -> select -> vet over ramp widths, each (sigma, grad_target, seed).
 
-    Each distinct candidate and its negation is vetted at delta / (8 *
+    The pool holds each distinct candidate of every width and its negation.
+    Only the holdout-best orientation h is vetted, at delta / (8 *
     #candidates * #widths) with thresholds inflated by PER_CANDIDATE_INFLATION,
-    and t4 at theta = min(C4 sigma, pi/4) if ``strips``.  Survivors of all
-    widths are pooled.  Returns (orientations examined, sigma, best, holdout
-    error); sigma is best's width, or the failing width when best is None."""
-    pool: list[tuple[UnitVector, float]] = []
-    examined = 0
+    and with t4 at theta = min(C4 sigma, pi/4) if ``strips``; that share
+    covers every orientation the selection could have returned.  Returns
+    (h's sigma, h or None if its vetting failed, h's holdout error or None)."""
+    pool: list[_Orientation] = []
     for sigma, grad_target, seed in widths:
         pcfg = _pipeline_psgd_config(sigma, grad_target, train.n, seed)
         found = psgd_candidates(train, SurrogateParams(sigma), pcfg).candidates
@@ -230,13 +222,12 @@ def _search(
         inflation = tester_cfg.calibration_inflation * PER_CANDIDATE_INFLATION
         tcfg = replace(tester_cfg, calibration_inflation=inflation, delta=max(tester_cfg.delta * share, 1e-12))
         theta = min(C4 * sigma, math.pi / 4.0) if strips else None
-        survivors, vetted = _vet_pairs(train, cands, sigma, C2, tcfg, target, theta, reports)
-        examined += vetted
-        if survivors is None:
-            return examined, sigma, None, None
-        pool.extend((w, sigma) for w in survivors)
-    best, err = select_best_candidate(holdout, [w for w, _ in pool])
-    return examined, next(s for w, s in pool if w == best), best, err
+        pool.extend(_Orientation(h, w, sigma, tcfg, theta) for w in cands for h in (w, w.negated()))
+    best, err = select_best_candidate(holdout, [o.h for o in pool])
+    chosen = next(o for o in pool if o.h == best)
+    if not _vet(train, chosen, target, reports):
+        return chosen.sigma, None, None
+    return chosen.sigma, best, err
 
 
 def learn_massart(
@@ -260,8 +251,8 @@ def learn_massart(
         return LearnResult(True, sigma, 0, tuple(reports))
 
     widths = [(sigma, C1 * one_minus * sigma / 2.0, cfg.seed.child(1))]
-    examined, _, best, err = _search(S_train, S_holdout, widths, tester_cfg, target, False, reports)
-    return LearnResult(best is None, sigma, examined, tuple(reports), best, err)
+    _, best, err = _search(S_train, S_holdout, widths, tester_cfg, target, False, reports)
+    return LearnResult(best is None, sigma, 1, tuple(reports), best, err)
 
 
 def learn_agnostic(
@@ -273,7 +264,7 @@ def learn_agnostic(
     """Tester-learner under adversarial labels.
 
     Runs the global moment tests, then the search over a grid of ramp widths
-    in (0, 1]; in gaussian mode each surviving candidate is additionally
+    in (0, 1]; in gaussian mode the selected orientation is additionally
     strip-tested."""
     if S_train.d != S_holdout.d:
         raise DimensionMismatchError("train and holdout disagree on d")
@@ -303,9 +294,9 @@ def learn_agnostic(
 
     widths = [(sigma, C2, cfg.seed.child(2, ci)) for ci, sigma in enumerate(grid)]
     strips = cfg.mode == "gaussian"
-    examined, sigma, best, err = _search(S_train, S_holdout, widths, tester_cfg, target, strips, reports)
+    sigma, best, err = _search(S_train, S_holdout, widths, tester_cfg, target, strips, reports)
     if best is None:
-        return LearnResult(True, sigma, examined, tuple(reports))
+        return LearnResult(True, sigma, 1, tuple(reports))
     theta = min(C4 * sigma, math.pi / 4.0)
     bound = 4.0 * theta if strips else min(angle_to_error_bound(theta, k, BOUND_C1, BOUND_C3)[1] for k in swept_ks)
-    return LearnResult(False, sigma, examined, tuple(reports), best, err, bound)
+    return LearnResult(False, sigma, 1, tuple(reports), best, err, bound)

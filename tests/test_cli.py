@@ -128,6 +128,7 @@ def test_gen_rejects_flags_its_marginal_or_noise_does_not_read(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("params", [
+    "nope",  # not JSON
     "{}",
     '{"weights": 1, "means": [[0, 0]], "scales": [1]}',
     "[1]",
@@ -143,6 +144,34 @@ def test_gen_rejects_malformed_mixture_params(tmp_path, capsys, monkeypatch, par
             "--seed", "4", "--out", "g.csv"]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("halflearn: --mixture-params")
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scales", ["a,1,1", "2,,1", "2;1;1"])
+def test_gen_rejects_unparsable_scales(tmp_path, capsys, monkeypatch, scales):
+    from halflearn.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    argv = ["gen", "--marginal", "aniso", "--scales", scales, "--d", "3", "--n", "200", "--seed", "4",
+            "--out", "g.csv"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"halflearn: --scales must be a comma list of numbers, not {scales!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ("test", "--tester", "t1", "--k", "2", "--data", "missing.csv"),
+    ("learn", "--mode", "agnostic", "--submode", "slc-fixed-k", "--k", "2", "--epsilon", "0.3",
+     "--train", "missing.csv", "--holdout", "missing.csv"),
+])
+@pytest.mark.parametrize("target", ["tilt:x", "tilt:", "tilt:-0.5", "tilt:nan", "tilt:inf", "foo", "gaussian:1"])
+def test_bad_target_is_a_usage_error_before_any_file_is_read(tmp_path, capsys, monkeypatch, command, target):
+    from halflearn.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--target", target, "--seed", "1", "--out", "r.json"]) == 2
+    assert capsys.readouterr().err == (
+        f"halflearn: --target must be gaussian or tilt:<lambda> with a finite lambda >= 0, not {target!r}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == []
 
 

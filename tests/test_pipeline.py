@@ -132,9 +132,11 @@ def test_learn_massart_candidate_pool_negation_closure(monkeypatch):
     res = pl.learn_massart(train, hold, cfg, TARGET)
     assert not res.rejected
     pool = captured["pool"]
-    assert len(pool) % 2 == 0 and len(pool) == res.candidates_examined
+    assert len(pool) % 2 == 0 and len(pool) > 2
     for w in pool:
         assert w.negated() in pool
+    # only the selected orientation is vetted
+    assert res.candidates_examined == 1 and res.hypothesis in pool
 
 
 def _bogus_band_target() -> TargetMarginal:
@@ -174,42 +176,43 @@ def test_learners_spend_their_own_delta(monkeypatch):
     # the threshold rank differs between delta 0.05 and 0.01, so the reports do too
     assert want_t1 != moment_tester(train, 2, TesterConfig(), TARGET)
 
-    vet_cfgs = []
-    original = pl.band_moment_tester
-
-    def spy(S, w, sigma, tau, tcfg, target):
-        vet_cfgs.append(tcfg)
-        return original(S, w, sigma, tau, tcfg, target)
-
-    monkeypatch.setattr(pl, "band_moment_tester", spy)
-    res = pl.learn_massart(train, hold, MassartConfig(eta=0.1, epsilon=0.5, delta=0.01, seed=RngSeed(636)), TARGET)
-    assert not res.rejected
-    assert res.tester_reports[0] == want_t1
-    n_cands = res.candidates_examined // 2
-    assert vet_cfgs and {(c.delta, c.calibration_inflation) for c in vet_cfgs} == {
-        (0.01 * (1.0 / (8.0 * n_cands)), 1.5 * 1.6)
-    }
-
-    # agnostic: the vetting calls at each width spend delta / (8 * #distinct
-    # candidates at that width * #grid); t4 runs in gaussian mode only, with
-    # the same budget, at theta = min(C4 sigma, pi/4)
-    psgd, strip = pl.psgd_candidates, pl.strip_tester
-    widths, calls = [], []  # (sigma, #distinct candidates) per PSGD run; (tester, sigma, n, theta, cfg)
+    psgd, band, strip = pl.psgd_candidates, pl.band_moment_tester, pl.strip_tester
+    widths = []  # (sigma, #distinct candidates) per PSGD run
 
     def psgd_spy(S, params, pcfg):
         cl = psgd(S, params, pcfg)
         widths.append((params.sigma, len({w.coords.tobytes() for w in cl.candidates})))
         return cl
 
-    def vet_spy(S, w, sigma, tau, tcfg, target):
-        calls.append(("t3", *widths[-1], None, tcfg))
-        return original(S, w, sigma, tau, tcfg, target)
+    vet_cfgs = []
 
-    def strip_spy(S, w, theta, tcfg):
-        calls.append(("t4", *widths[-1], theta, tcfg))
-        return strip(S, w, theta, tcfg)
+    def spy(S, w, sigma, tau, tcfg, target):
+        vet_cfgs.append(tcfg)
+        return band(S, w, sigma, tau, tcfg, target)
 
     monkeypatch.setattr(pl, "psgd_candidates", psgd_spy)
+    monkeypatch.setattr(pl, "band_moment_tester", spy)
+    res = pl.learn_massart(train, hold, MassartConfig(eta=0.1, epsilon=0.5, delta=0.01, seed=RngSeed(636)), TARGET)
+    assert not res.rejected
+    assert res.tester_reports[0] == want_t1
+    [(_, n_cands)] = widths
+    assert len(vet_cfgs) == 2 and {(c.delta, c.calibration_inflation) for c in vet_cfgs} == {
+        (0.01 * (1.0 / (8.0 * n_cands)), 1.5 * 1.6)
+    }
+
+    # agnostic: the vetting calls of the returned orientation spend delta / (8
+    # * #distinct candidates at its width * #grid); t4 runs in gaussian mode
+    # only, with the same budget, at theta = min(C4 sigma, pi/4)
+    calls = []  # (tester, sigma or theta, cfg)
+
+    def vet_spy(S, w, sigma, tau, tcfg, target):
+        calls.append(("t3", sigma, tcfg))
+        return band(S, w, sigma, tau, tcfg, target)
+
+    def strip_spy(S, w, theta, tcfg):
+        calls.append(("t4", theta, tcfg))
+        return strip(S, w, theta, tcfg)
+
     monkeypatch.setattr(pl, "band_moment_tester", vet_spy)
     monkeypatch.setattr(pl, "strip_tester", strip_spy)
     for mode, k, opt, eps, seed, grid in (("gaussian", None, 0.05, 0.5, 625, pl._arithmetic_grid(0.5)),
@@ -221,11 +224,12 @@ def test_learners_spend_their_own_delta(monkeypatch):
         cfg = AgnosticConfig(epsilon=eps, delta=0.01, mode=mode, k=k, seed=RngSeed(seed + 2))
         res = pl.learn_agnostic(a_train, a_hold, cfg, TARGET)
         assert not res.rejected and [sigma for sigma, _ in widths] == grid
-        for tester, sigma, n, theta, tcfg in calls:
+        sigma, n = res.sigma_used, dict(widths)[res.sigma_used]
+        for _, _, tcfg in calls:
             assert (tcfg.delta, tcfg.calibration_inflation) == (0.01 * (1.0 / (8.0 * n * len(grid))), 1.5 * 1.6)
-            assert theta == (min(pl.C4 * sigma, math.pi / 4.0) if tester == "t4" else None)
-        t4_calls = sum(tester == "t4" for tester, *_ in calls)
-        assert calls and t4_calls == (res.candidates_examined if mode == "gaussian" else 0)
+        t4 = [("t4", min(pl.C4 * sigma, math.pi / 4.0))] if mode == "gaussian" else []
+        assert [call[:2] for call in calls] == [("t3", sigma / 2.0), ("t3", sigma / 6.0), *t4]
+        assert res.candidates_examined == 1
 
     # a t1 reject reports the Massart width, and 0.0 for the agnostic grid
     aniso = _aniso_train()
@@ -238,6 +242,82 @@ def test_learners_spend_their_own_delta(monkeypatch):
     assert res.tester_reports == (moment_tester(aniso, 2, TesterConfig(delta=0.01), TARGET),)
 
 
+def _spy_pool(monkeypatch):
+    """Record each PSGD run's (sigma, candidates) and the pool handed to the selection."""
+    runs, pool = [], []
+    psgd, select = pipeline.psgd_candidates, pipeline.select_best_candidate
+
+    def psgd_spy(S, params, pcfg):
+        cl = psgd(S, params, pcfg)
+        runs.append((params.sigma, list(cl.candidates)))
+        return cl
+
+    def select_spy(S, candidates):
+        pool.extend(candidates)
+        return select(S, candidates)
+
+    monkeypatch.setattr(pipeline, "psgd_candidates", psgd_spy)
+    monkeypatch.setattr(pipeline, "select_best_candidate", select_spy)
+    return runs, pool
+
+
+def test_learn_agnostic_vets_only_the_holdout_argmin(monkeypatch):
+    runs, pool = _spy_pool(monkeypatch)
+    train, _ = planted_agnostic(30_000, 3, 0.05, "agnostic_random", seed=625)
+    hold, _ = planted_agnostic(10_000, 3, 0.05, "agnostic_random", seed=626)
+    cfg = AgnosticConfig(epsilon=0.5, delta=0.05, mode="gaussian", seed=RngSeed(627))
+    res = learn_agnostic(train, hold, cfg, TARGET)
+    assert not res.rejected and res.candidates_examined == 1
+
+    # the pool is every distinct candidate of every width, then its negation
+    distinct = [(sigma, list({w.coords.tobytes(): w for w in cands}.values())) for sigma, cands in runs]
+    assert pool == [h for _, cands in distinct for w in cands for h in (w, w.negated())]
+    # the hypothesis is the holdout argmin over the whole pool, first index on ties
+    errs = [empirical_error(hold, h) for h in pool]
+    assert res.hypothesis == pool[errs.index(min(errs))] and res.empirical_error == min(errs)
+
+    # after t1, the reports are t3 on the generating candidate w at sigma/2
+    # and sigma/6, then t4 on h, all with the vetting config of h's width
+    sigma = res.sigma_used
+    cands = dict(distinct)[sigma]
+    w = next(c for c in cands if res.hypothesis in (c, c.negated()))
+    tcfg = TesterConfig(calibration_inflation=1.5 * pipeline.PER_CANDIDATE_INFLATION,
+                        delta=0.05 * (1.0 / (8.0 * len(cands) * len(runs))))
+    want = (
+        testers.band_moment_tester(train, w, sigma / 2.0, pipeline.C2, tcfg, TARGET),
+        testers.band_moment_tester(train, w, sigma / 6.0, pipeline.C2, tcfg, TARGET),
+        testers.strip_tester(train, res.hypothesis, min(pipeline.C4 * sigma, math.pi / 4.0), tcfg),
+    )
+    assert res.tester_reports[0].checks[0].name.startswith("moment_")
+    assert res.tester_reports[1:] == want
+
+
+def test_learn_accepts_when_only_an_orientation_it_does_not_return_would_fail(monkeypatch):
+    train, _ = planted_massart(40_000, 4, eta=0.1, seed=612)
+    hold, _ = planted_massart(10_000, 4, eta=0.1, seed=613)
+    cfg = MassartConfig(eta=0.1, epsilon=0.3, delta=0.05, seed=RngSeed(614))
+    honest = learn_massart(train, hold, cfg, TARGET)
+    assert not honest.rejected
+    h = honest.hypothesis
+
+    # a t3 that rejects every band but those of h and -h
+    band, vetted = pipeline.band_moment_tester, []
+    fail = testers.TesterReport(False, (testers.TesterCheck("spy", 1.0, 0.0, False),), 0)
+
+    def spy(S, w, sigma, tau, tcfg, target):
+        vetted.append(w)
+        return band(S, w, sigma, tau, tcfg, target) if w in (h, h.negated()) else fail
+
+    _, pool = _spy_pool(monkeypatch)
+    monkeypatch.setattr(pipeline, "band_moment_tester", spy)
+    res = learn_massart(train, hold, cfg, TARGET)
+    # the pool opens with PSGD's random start, which the spy fails, and
+    # vetting every orientation would have rejected there
+    assert pool[0] not in (h, h.negated())
+    assert res.to_json_dict() == honest.to_json_dict()
+    assert len(vetted) == 2 and all(w in (h, h.negated()) for w in vetted)
+
+
 @given(
     st.integers(2, 5),
     st.integers(0, 2**32 - 1),
@@ -248,10 +328,11 @@ def test_learners_spend_their_own_delta(monkeypatch):
 @settings(max_examples=25, deadline=None)
 @example(d=3, seed=277638934, sigma=0.5586284528574792, stretch=1.0, strips=False)  # see the last remark
 def test_vetting_a_candidate_or_its_negation_gives_the_same_verdicts(d, seed, sigma, stretch, strips):
-    # _vet_pairs band-tests only the candidate and gives its negation the same
-    # reports.  Vetting -w as the candidate, in the frame diag(-1, I) H(w) that
-    # maps -w to e1, must then give w's band reports bit for bit and the same
-    # verdicts.  -w's own Householder frame H(-w) differs from that one on
+    # _vet band-tests the orientation's generating PSGD candidate, so a
+    # candidate and its negation get the same band reports.  Vetting -w as the
+    # candidate, in the frame diag(-1, I) H(w) that maps -w to e1, must then
+    # give w's band reports bit for bit and the same verdicts, for either
+    # orientation.  -w's own Householder frame H(-w) differs from that one on
     # the hyperplane w-perp, so its in-band moments, and near a threshold its
     # verdicts, can differ from w's: in the example pinned above w's sigma/6
     # band fails and -w's, in H(-w), passes.
@@ -270,14 +351,17 @@ def test_vetting_a_candidate_or_its_negation_gives_the_same_verdicts(d, seed, si
     theta = min(2.0 * sigma, math.pi / 4.0) if strips else None
     runs = []
     for cand in (w, w.negated()):
-        reports = []
+        verdicts = {}
         with (
             mock.patch.object(testers, "rotation_to_first_axis", frame),
             mock.patch.object(testers, "_CALIBRATION_REPS", 50),
         ):
-            survivors, examined = pipeline._vet_pairs(train, [cand], sigma, 0.05, tcfg, TARGET, theta, reports)
-        runs.append((survivors and {v.coords.tobytes() for v in survivors}, examined, [r.accepted for r in reports]))
-        runs[-1] += ([r for r in reports if r.checks[0].name.startswith("band_mass")],)
+            for h in (cand, cand.negated()):
+                reports = []
+                ok = pipeline._vet(train, pipeline._Orientation(h, cand, sigma, tcfg, theta), TARGET, reports)
+                bands = [r for r in reports if r.checks[0].name.startswith("band_mass")]
+                verdicts[h.coords.tobytes()] = (ok, [r.accepted for r in reports], bands)
+        runs.append(verdicts)
     assert runs[0] == runs[1]
 
 

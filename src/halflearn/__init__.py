@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 _SUBMODULE_EXPORTS = {
     "core": (
         "LabeledDataset",
-        "MultiIndex",
         "RngSeed",
         "UnitVector",
         "angle_between",

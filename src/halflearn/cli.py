@@ -63,7 +63,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     t.add_argument("--sigma", type=float, default=None)
     t.add_argument("--tau", type=float, default=None)
     t.add_argument("--theta", type=float, default=None)
-    t.add_argument("--slack-mode", default="calibrated", choices=["theory", "calibrated"])
     t.add_argument("--delta", type=float, default=0.05)
     t.add_argument("--target", default="gaussian", help="gaussian or tilt:<lambda>")
     t.add_argument("--seed", type=int, required=True)
@@ -78,7 +77,6 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     l.add_argument("--delta", type=float, default=0.05)
     l.add_argument("--submode", default=None, choices=["gaussian", "slc-fixed-k", "slc-auto-k"])
     l.add_argument("--k", type=int, default=None)
-    l.add_argument("--slack-mode", default="calibrated", choices=["theory", "calibrated"])
     l.add_argument("--target", default="gaussian", help="gaussian or tilt:<lambda>")
     l.add_argument("--seed", type=int, required=True)
     l.add_argument("--out", required=True)
@@ -92,7 +90,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return p, sub.choices
 
 
-def _read_vector(text_or_path: str, d: int):
+def _read_vector(text_or_path: str, d: int, flag: str):
+    """The unit vector a flag names: a JSON file (a list, or an object with a
+    "coords" or "hypothesis" list) or a comma list."""
     import numpy as np
 
     if os.path.exists(text_or_path):
@@ -100,14 +100,19 @@ def _read_vector(text_or_path: str, d: int):
             obj = json.load(fh)
         if isinstance(obj, dict):
             obj = obj.get("coords", obj.get("hypothesis"))
-        vec = np.asarray(obj, dtype=np.float64)
+            if obj is None:  # a rejected learn result has a null hypothesis
+                raise UsageExit(f'{flag}: {text_or_path} holds no "coords" or "hypothesis" vector')
+        try:
+            vec = np.asarray(obj, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise UsageExit(f"{flag}: {text_or_path} does not hold a vector of numbers: {exc}") from exc
     else:
         try:
             vec = np.asarray([float(v) for v in text_or_path.split(",")])
         except ValueError as exc:
-            raise UsageExit(f"cannot parse vector {text_or_path!r}") from exc
+            raise UsageExit(f"{flag}: cannot parse vector {text_or_path!r}") from exc
     if vec.shape != (d,):
-        raise UsageExit(f"vector has dimension {vec.shape}, dataset has d={d}")
+        raise UsageExit(f"{flag}: vector has dimension {vec.shape}, dataset has d={d}")
     from .core import project_to_sphere
 
     return project_to_sphere(vec)
@@ -154,7 +159,7 @@ _READS = {
         ("--planted-out", {"--noise": _NOISES}, False),
     ),
     # strip_tester tests N(0, I) only, and neither band_mass_tester nor
-    # strip_tester reads its TesterConfig; theory thresholds do not use delta
+    # strip_tester reads its TesterConfig
     "test": (
         ("--k", {"--tester": ("t1",)}, True),
         ("--w", {"--tester": ("t2", "t3", "t4")}, True),
@@ -162,14 +167,12 @@ _READS = {
         ("--tau", {"--tester": ("t3",)}, True),
         ("--theta", {"--tester": ("t4",)}, True),
         ("--target", {"--tester": ("t1", "t2", "t3")}, False),
-        ("--slack-mode", {"--tester": ("t1", "t3")}, False),
-        ("--delta", {"--tester": ("t1", "t3"), "--slack-mode": ("calibrated",)}, False),
+        ("--delta", {"--tester": ("t1", "t3")}, False),
     ),
     "learn": (
         ("--eta", {"--mode": ("massart",)}, True),
         ("--submode", {"--mode": ("agnostic",)}, True),
         ("--k", {"--submode": ("slc-fixed-k",)}, True),
-        ("--delta", {"--slack-mode": ("calibrated",)}, False),
     ),
 }
 
@@ -266,7 +269,7 @@ def _cmd_gen(args) -> int:
             rng = seed.generator(99)
             planted = project_to_sphere(rng.standard_normal(args.d))
         else:
-            planted = _read_vector(args.planted, args.d)
+            planted = _read_vector(args.planted, args.d, "--planted")
         planted_coords = [float(v) for v in planted.coords]
         nkind = args.noise.replace("-", "_").replace("massart_const", "massart_constant")
         try:
@@ -294,18 +297,18 @@ def _cmd_test(args) -> int:
     from .datagen import read_dataset_csv
 
     ds = read_dataset_csv(args.data)
-    cfg = testers.TesterConfig(
-        slack_mode=args.slack_mode, delta=args.delta, calibration_seed=RngSeed(args.seed)
-    )
+    cfg = testers.TesterConfig(delta=args.delta, calibration_seed=RngSeed(args.seed))
     target = _make_target(args.target, ds.d)
     if args.tester == "t1":
         report = testers.moment_tester(ds, args.k, cfg, target)
-    elif args.tester == "t2":
-        report = testers.band_mass_tester(ds, _read_vector(args.w, ds.d), args.sigma, cfg, target)
-    elif args.tester == "t3":
-        report = testers.band_moment_tester(ds, _read_vector(args.w, ds.d), args.sigma, args.tau, cfg, target)
     else:
-        report = testers.strip_tester(ds, _read_vector(args.w, ds.d), args.theta, cfg)
+        w = _read_vector(args.w, ds.d, "--w")
+        if args.tester == "t2":
+            report = testers.band_mass_tester(ds, w, args.sigma, cfg, target)
+        elif args.tester == "t3":
+            report = testers.band_moment_tester(ds, w, args.sigma, args.tau, cfg, target)
+        else:
+            report = testers.strip_tester(ds, w, args.theta, cfg)
     _write_json(args.out, report.to_json_dict())
     return EXIT_OK if report.accepted else EXIT_REJECT
 
@@ -318,7 +321,7 @@ def _cmd_learn(args) -> int:
     train = read_dataset_csv(args.train)
     holdout = read_dataset_csv(args.holdout)
     seed = RngSeed(args.seed)
-    tcfg = testers.TesterConfig(slack_mode=args.slack_mode, calibration_seed=seed.child(7))
+    tcfg = testers.TesterConfig(calibration_seed=seed.child(7))
     target = _make_target(args.target, train.d)
     if args.mode == "massart":
         cfg = pipeline.MassartConfig(
@@ -344,10 +347,10 @@ def _cmd_eval(args) -> int:
     from .core import angle_between, empirical_error
 
     ds = datagen.read_dataset_csv(args.data)
-    w = _read_vector(args.hypothesis, ds.d)
+    w = _read_vector(args.hypothesis, ds.d, "--hypothesis")
     metrics: dict = {"empirical_error": empirical_error(ds, w)}
     if args.planted:
-        planted = _read_vector(args.planted, ds.d)
+        planted = _read_vector(args.planted, ds.d, "--planted")
         metrics["angle_to_planted"] = angle_between(w, planted)
         metrics["planted_error"] = empirical_error(ds, planted)
     if args.oracle_2d:

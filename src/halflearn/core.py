@@ -109,27 +109,6 @@ class LabeledDataset:
         return int(self.points.shape[1])
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Exponent vector of a monomial x^alpha = prod_i x_i^alpha_i."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        exps = tuple(int(e) for e in self.exponents)
-        if len(exps) < 1 or any(e < 0 for e in exps):
-            raise ValueError("exponents must be a nonempty tuple of nonnegative integers")
-        object.__setattr__(self, "exponents", exps)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    @property
-    def d(self) -> int:
-        return len(self.exponents)
-
-
 def project_to_sphere(v: Sequence[float] | np.ndarray) -> UnitVector:
     """Radial projection v -> v / ||v||_2."""
     arr = np.asarray(v, dtype=np.float64)

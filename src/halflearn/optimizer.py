@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import LabeledDataset, RngSeed, UnitVector
 from .errors import EmptyDatasetError, NonPositiveStepError
-from .surrogate import SurrogateParams, empirical_surrogate_gradient, ramp_derivative
+from .surrogate import SurrogateParams, empirical_surrogate_gradient, ramp_derivative, tangent_gradient
 
 _STREAM_INIT = 21
 _STREAM_BATCH = 22
@@ -95,8 +95,7 @@ def psgd_candidates(S: LabeledDataset, p: SurrogateParams, cfg: PsgdConfig) -> C
         idx = rng.integers(0, n, size=b)
         Xb = X[idx]
         margins = Xb @ w
-        coef = -np.asarray(ramp_derivative(np.abs(margins), p)) * y[idx]
-        g = Xb.T @ coef / b - (float(coef @ margins) / b) * w
+        g = tangent_gradient(Xb, y[idx], w, margins, ramp_derivative(np.abs(margins), p))
         w = w - cfg.step_size * g
         w /= np.linalg.norm(w)
         if t % cfg.record_every == 0:

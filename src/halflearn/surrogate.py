@@ -97,16 +97,22 @@ def empirical_surrogate_loss(S: LabeledDataset, w: UnitVector, p: SurrogateParam
     return float(np.mean(ramp_value(-S.labels * margins, p)))
 
 
-def empirical_surrogate_gradient(S: LabeledDataset, w: UnitVector, p: SurrogateParams) -> np.ndarray:
-    """Gradient of the loss in the direction of w, tangent to the sphere.
+def tangent_gradient(
+    X: np.ndarray, y: np.ndarray, w: np.ndarray, margins: np.ndarray, slopes: np.ndarray
+) -> np.ndarray:
+    """Mean over the rows of -slope * y * (x - <w,x> w), with margins = X @ w
+    and slopes = l'(|margins|): the loss gradient tangent to the sphere at w.
 
-    Uses the even symmetry of the ramp derivative: the per-sample term is
-    -l'(|<w,x>|) * y * (x - <w,x> w), averaged over the dataset.  The result
-    is orthogonal to w up to rounding.
+    Uses the even symmetry of the ramp derivative.  The result is orthogonal
+    to w up to rounding.
     """
+    coef = -slopes * y
+    n = X.shape[0]
+    return X.T @ coef / n - (float(coef @ margins) / n) * w
+
+
+def empirical_surrogate_gradient(S: LabeledDataset, w: UnitVector, p: SurrogateParams) -> np.ndarray:
+    """Gradient of the loss in the direction of w, tangent to the sphere."""
     _check_dims(S, w)
     margins = S.points @ w.coords
-    coef = -np.asarray(ramp_derivative(np.abs(margins), p)) * S.labels
-    n = S.n
-    g = S.points.T @ coef / n - (float(coef @ margins) / n) * w.coords
-    return g
+    return tangent_gradient(S.points, S.labels, w.coords, margins, ramp_derivative(np.abs(margins), p))

@@ -10,14 +10,12 @@ Four testers are exposed (CLI names t1..t4):
 * ``strip_tester``       - Gaussian-specific strip profile: per-strip mass,
   orthogonal covariance, and tail mass along a candidate direction.
 
-Thresholds come in two regimes.  ``theory`` mode uses the asymptotic additive
-slacks (astronomically strict at desk-scale n; retained for contract tests).
-``calibrated`` mode (default) replaces each threshold with an inflated
-quantile of the same statistic under the target at the same sample size,
-from a seeded, cached oracle.  ``_null_quantiles`` serves t1 and t3: from
-``_CLT_MIN`` rows on it draws each deviation from its CLT limit, whose
-variance M(2 alpha) - M(alpha)^2 is exact, and below it samples rows.  A
-custom target's in-band moments come from a million rejection-sampled rows.
+Each t1 and t3 threshold is an inflated quantile of the same statistic under
+the target at the same sample size, from a seeded, cached oracle.
+``_null_quantiles`` serves both: from ``_CLT_MIN`` rows on it draws each
+deviation from its CLT limit, whose variance M(2 alpha) - M(alpha)^2 is
+exact, and below it samples rows.  A custom target's in-band moments come
+from a million rejection-sampled rows.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ import numpy as np
 from .core import (
     MULTI_INDEX_CAP,
     LabeledDataset,
-    MultiIndex,
     RngSeed,
     UnitVector,
     count_multi_indices,
@@ -92,10 +89,10 @@ def clear_oracle_cache() -> None:
 # Target marginals
 
 
-def gaussian_moment(alpha: MultiIndex) -> float:
+def gaussian_moment(alpha: tuple[int, ...]) -> float:
     """E[x^alpha] under N(0, I): product of (e-1)!! over even exponents, else 0."""
     out = 1.0
-    for e in alpha.exponents:
+    for e in alpha:
         if e % 2 == 1:
             return 0.0
         acc = 1.0
@@ -111,8 +108,8 @@ class TargetMarginal:
 
     ``standard_gaussian`` uses closed forms throughout.  ``custom`` targets
     supply a moment oracle and a band-probability oracle; a sampler is
-    additionally required for calibrated thresholds and for the conditional
-    (in-band) tester.
+    additionally required for the calibrated thresholds of t1 and of the
+    conditional (in-band) tester.
     """
 
     kind: str
@@ -120,7 +117,7 @@ class TargetMarginal:
     k1: float
     k2: float
     label: str
-    moment_oracle: Callable[[MultiIndex], float] | None = None
+    moment_oracle: Callable[[tuple[int, ...]], float] | None = None
     sampler: Callable[[int, np.random.Generator], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
@@ -135,7 +132,7 @@ class TargetMarginal:
             if not (self.k1 <= ratio <= self.k2):
                 raise ValueError(f"band mass ratio {ratio:.6f} at sigma={s} escapes [K1, K2]")
 
-    def moment(self, alpha: MultiIndex) -> float:
+    def moment(self, alpha: tuple[int, ...]) -> float:
         if self.kind == "standard_gaussian":
             return gaussian_moment(alpha)
         return float(self.moment_oracle(alpha))
@@ -144,7 +141,7 @@ class TargetMarginal:
         if self.kind == "standard_gaussian":
             return rng.standard_normal((n, dim))
         if self.sampler is None:
-            raise ValueError(f"target {self.label!r} has no sampler; calibrated mode needs one")
+            raise ValueError(f"target {self.label!r} has no sampler; calibrated thresholds need one")
         return np.asarray(self.sampler(n, rng), dtype=np.float64)
 
 
@@ -182,9 +179,9 @@ def tilted_gaussian_target(lam: float, d: int) -> TargetMarginal:
             moments_1d[e] = val / c**e
         return moments_1d[e]
 
-    def moment_oracle(alpha: MultiIndex) -> float:
+    def moment_oracle(alpha: tuple[int, ...]) -> float:
         out = 1.0
-        for e in alpha.exponents:
+        for e in alpha:
             out *= moment_1d(e)
             if out == 0.0:
                 return 0.0
@@ -256,14 +253,11 @@ def _moment_checks(
 
 @dataclass(frozen=True)
 class TesterConfig:
-    slack_mode: str = "calibrated"
     calibration_inflation: float = 1.5
     delta: float = 0.05
     calibration_seed: RngSeed = RngSeed(271828182845)
 
     def __post_init__(self) -> None:
-        if self.slack_mode not in ("theory", "calibrated"):
-            raise ValueError("slack_mode must be 'theory' or 'calibrated'")
         if self.calibration_inflation < 1.0:
             raise ValueError("calibration_inflation must be >= 1")
         if not (0.0 < self.delta < 1.0):
@@ -383,7 +377,7 @@ def truncated_normal_even_moment(j: int, sigma: float) -> float:
 def _band_gaussian_moment(alpha: tuple[int, ...], sigma: float) -> float:
     """E[x^alpha] for N(0, I) conditioned on |x_1| <= sigma: a truncated
     normal first coordinate times independent standard normals."""
-    return truncated_normal_even_moment(alpha[0], sigma) * gaussian_moment(MultiIndex(alpha[1:] or (0,)))
+    return truncated_normal_even_moment(alpha[0], sigma) * gaussian_moment(alpha[1:])
 
 
 def rotation_to_first_axis(w: UnitVector) -> np.ndarray:
@@ -412,7 +406,7 @@ def _sample_gaussian_band_rotated(m: int, d: int, sigma: float, rng: np.random.G
 
 
 # ---------------------------------------------------------------------------
-# Calibration oracle (thresholds for calibrated mode)
+# Calibration oracle (the t1 and t3 thresholds)
 
 
 def _order_statistic(devs: np.ndarray, delta: float, n_checks: int) -> np.ndarray:
@@ -515,7 +509,7 @@ def _custom_band_moments(
 ) -> dict[tuple[int, ...], float]:
     """In-band moments M(alpha) and M(2 alpha) of a custom target in w's
     frame: the monomial means of a million rejection-sampled band rows.  The
-    draw depends on neither the replicate count nor the slack mode."""
+    draw does not depend on the replicate count."""
     key = ("t3c_moments", target.label, w.coords.tobytes(), float(sigma), len(alphas), seed.seed)
     if key not in _ORACLE_CACHE:
         sigma_bits = int(np.float64(sigma).view(np.uint64))
@@ -533,8 +527,7 @@ def _custom_band_moments(
 def moment_tester(S: LabeledDataset, k: int, cfg: TesterConfig, target: TargetMarginal) -> TesterReport:
     """Compare every empirical degree-k moment with the target's.
 
-    Theory slack is 1/d^k per moment; calibrated slack is the inflated null
-    quantile at the same n.
+    Each threshold is the inflated null quantile at the same n.
     """
     if k < 2 or k % 2 == 1:
         raise OddDegreeError("k must be an even integer >= 2")
@@ -542,15 +535,11 @@ def moment_tester(S: LabeledDataset, k: int, cfg: TesterConfig, target: TargetMa
     if count_multi_indices(d, k) > MULTI_INDEX_CAP:
         raise SizeLimitError(f"degree-{k} moment enumeration exceeds cap in dimension {d}")
     alphas = list(exponent_tuples(d, k))
-    moment = lambda a: target.moment(MultiIndex(a))
-    tgt = np.array([moment(a) for a in alphas])
-    if cfg.slack_mode == "theory":
-        thr = np.full(len(alphas), 1.0 / d**k)
-    else:
-        key = ("t1", target.label, d, k, S.n)
-        stream = (1, _label_tag(target.label), d, k, S.n)
-        sample = lambda n, rng: target.sample(n, d, rng)
-        thr = cfg.calibration_inflation * _null_quantiles(key, stream, S.n, alphas, moment, sample, cfg)
+    tgt = np.array([target.moment(a) for a in alphas])
+    key = ("t1", target.label, d, k, S.n)
+    stream = (1, _label_tag(target.label), d, k, S.n)
+    sample = lambda n, rng: target.sample(n, d, rng)
+    thr = cfg.calibration_inflation * _null_quantiles(key, stream, S.n, alphas, target.moment, sample, cfg)
     return _report(_moment_checks("moment_", alphas, _monomial_means(S.points, alphas), tgt, thr), S.n)
 
 
@@ -646,11 +635,8 @@ def band_moment_tester(
         stream = (3, d, len(alphas), int(np.float64(sigma).view(np.uint64)), m_b)
         sample = lambda size, rng: _sample_gaussian_band_rotated(size, d, sigma, rng)
     tgt = np.array([band_moment(a) for a in alphas])
-    if cfg.slack_mode == "theory":
-        thr = np.full(len(alphas), tau * float(d) ** (-2 * k_eff))
-    else:
-        q = _null_quantiles(key, stream, m_b, alphas, band_moment, sample, cfg)
-        thr = cfg.calibration_inflation * q * math.sqrt(m_b / m)
+    q = _null_quantiles(key, stream, m_b, alphas, band_moment, sample, cfg)
+    thr = cfg.calibration_inflation * q * math.sqrt(m_b / m)
     return _report([*t2.checks, *_moment_checks("band_moment_", alphas, emp, tgt, thr)], S.n)
 
 

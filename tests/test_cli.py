@@ -13,7 +13,7 @@ from halflearn.schemas import (
     TESTER_REPORT_SCHEMA,
 )
 
-from conftest import child_env
+from conftest import child_env, gaussian_dataset
 
 
 def run_cli(*args):
@@ -176,7 +176,7 @@ def test_bad_target_is_a_usage_error_before_any_file_is_read(tmp_path, capsys, m
 
 
 # flags that every choice of their command reads, so no table row names them
-_READ_BY_ALL = {"gen": {"--noise"}, "test": set(), "learn": {"--slack-mode", "--target"},
+_READ_BY_ALL = {"gen": {"--noise"}, "test": set(), "learn": {"--delta", "--target"},
                 "eval": {"--planted", "--oracle-2d"}}
 
 
@@ -327,15 +327,14 @@ def test_learn_agnostic_cli_and_mode_mismatch(tmp_path):
     (("--mode", "massart", "--eta", "0.1", "--k", "4"), "--k"),
     (("--mode", "agnostic", "--submode", "slc-auto-k", "--k", "4"), "--k"),
     (("--mode", "agnostic", "--submode", "gaussian", "--k", "2"), "--k"),
-    # theory thresholds do not use delta
-    (("--mode", "massart", "--eta", "0.1", "--slack-mode", "theory", "--delta", "0.9"), "--delta"),
-    (("--mode", "agnostic", "--submode", "gaussian", "--slack-mode", "theory", "--delta", "0.9"), "--delta"),
+    # every mode reads --delta
+    (("--mode", "massart", "--eta", "0.1", "--delta", "0.9"), None),
+    (("--mode", "agnostic", "--submode", "gaussian", "--delta", "0.9"), None),
     (("--mode", "agnostic", "--submode", "slc-fixed-k"), "--k"),  # read but missing
     (("--mode", "massart"), "--eta"),
     # the defaults, given explicitly
-    (("--mode", "massart", "--eta", "0.1", "--slack-mode", "theory", "--delta", "0.05"), None),
-    (("--mode", "agnostic", "--submode", "gaussian", "--slack-mode", "calibrated", "--delta", "0.05",
-      "--target", "gaussian"), None),
+    (("--mode", "massart", "--eta", "0.1", "--delta", "0.05"), None),
+    (("--mode", "agnostic", "--submode", "gaussian", "--delta", "0.05", "--target", "gaussian"), None),
 ])
 def test_learn_rejects_flags_its_mode_does_not_read(tmp_path, capsys, mode_flags, flag):
     from halflearn.cli import main
@@ -361,20 +360,19 @@ def test_learn_rejects_flags_its_mode_does_not_read(tmp_path, capsys, mode_flags
     (("t3", "--w", "1,0,0", "--sigma", "0.5", "--tau", "0.5", "--theta", "0.2"), "--theta"),
     (("t4", "--w", "1,0,0", "--theta", "0.2", "--target", "tilt:0.5"), "--target"),  # t4 tests N(0, I) only
     (("t4", "--w", "1,0,0", "--theta", "0.2", "--target", "gaussian"), None),  # the default is read by all
-    # band_mass_tester and strip_tester read no TesterConfig
-    (("t2", "--w", "1,0,0", "--sigma", "0.5", "--slack-mode", "theory"), "--slack-mode"),
+    # t1 and t3 read --delta; band_mass_tester and strip_tester read no TesterConfig
+    (("t1", "--k", "2", "--delta", "0.9"), None),
     (("t2", "--w", "1,0,0", "--sigma", "0.5", "--delta", "0.9"), "--delta"),
-    (("t4", "--w", "1,0,0", "--theta", "0.2", "--slack-mode", "theory"), "--slack-mode"),
+    (("t3", "--w", "1,0,0", "--sigma", "0.5", "--tau", "0.5", "--delta", "0.9"), None),
     (("t4", "--w", "1,0,0", "--theta", "0.2", "--delta", "0.9"), "--delta"),
-    # theory thresholds do not use delta
-    (("t1", "--k", "2", "--slack-mode", "theory", "--delta", "0.9"), "--delta"),
-    (("t3", "--w", "1,0,0", "--sigma", "0.5", "--tau", "0.5", "--slack-mode", "theory", "--delta", "0.9"), "--delta"),
     # a flag that is read but missing
+    (("t4", "--w", "1,0,0"), "--theta"),
+    (("t2", "--sigma", "0.5"), "--w"),
     (("t3", "--w", "1,0,0", "--sigma", "0.5"), "--tau"),
     (("t1",), "--k"),
     # the defaults, given explicitly
-    (("t4", "--w", "1,0,0", "--theta", "0.2", "--slack-mode", "calibrated", "--delta", "0.05"), None),
-    (("t1", "--k", "2", "--slack-mode", "theory", "--delta", "0.05"), None),
+    (("t4", "--w", "1,0,0", "--theta", "0.2", "--delta", "0.05"), None),
+    (("t1", "--k", "2", "--delta", "0.05"), None),
 ])
 def test_test_rejects_flags_its_tester_does_not_read(tmp_path, capsys, tester_flags, flag):
     from halflearn.cli import main
@@ -389,6 +387,56 @@ def test_test_rejects_flags_its_tester_does_not_read(tmp_path, capsys, tester_fl
     else:
         assert_flag_error(err, flag, argv)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, value", [
+    (("test", "--tester", "t1", "--k", "2", "--data", "d.csv"), "calibrated"),
+    (("learn", "--mode", "massart", "--eta", "0.1", "--epsilon", "0.5", "--train", "t.csv", "--holdout", "h.csv"),
+     "theory"),
+])
+def test_slack_mode_is_not_a_flag(tmp_path, capsys, monkeypatch, command, value):
+    # every t1 and t3 threshold is calibrated; the flag is refused before any file is read
+    from halflearn.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--slack-mode", value, "--seed", "1", "--out", "r.json"]) == 2
+    assert capsys.readouterr().err == f"halflearn: unrecognized arguments: --slack-mode {value}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+_VECTOR_COMMANDS = {
+    "--hypothesis": ("eval", "--hypothesis", "v.json", "--data", "d.csv", "--out", "m.json"),
+    "--planted": ("eval", "--hypothesis", "1,0,0", "--planted", "v.json", "--data", "d.csv", "--out", "m.json"),
+    "--w": ("test", "--tester", "t4", "--w", "v.json", "--theta", "0.2", "--data", "d.csv", "--seed", "1",
+            "--out", "m.json"),
+}
+
+
+@pytest.mark.parametrize("flag, content, message", [
+    # a rejected learn result has no hypothesis
+    ("--hypothesis", {"rejected": True, "hypothesis": None}, 'v.json holds no "coords" or "hypothesis" vector'),
+    ("--w", {"rejected": True, "hypothesis": None}, 'v.json holds no "coords" or "hypothesis" vector'),
+    ("--planted", {"coords": [1, "a", 0]},
+     "v.json does not hold a vector of numbers: could not convert string to float: 'a'"),
+    ("--hypothesis", [1, 0], "vector has dimension (2,), dataset has d=3"),
+    ("--w", None, "cannot parse vector '1,a,0'"),
+], ids=["rejected-hypothesis", "rejected-w", "not-a-number", "dimension", "comma-list"])
+def test_vector_errors_name_their_flag(tmp_path, capsys, monkeypatch, flag, content, message):
+    from halflearn.cli import main
+    from halflearn.datagen import write_dataset_csv
+
+    monkeypatch.chdir(tmp_path)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # main pins them; this restores them afterwards
+    write_dataset_csv(gaussian_dataset(200, 3, seed=40), "d.csv")
+    argv = _VECTOR_COMMANDS[flag]
+    if content is None:
+        argv = tuple("1,a,0" if a == "v.json" else a for a in argv)
+    else:
+        (tmp_path / "v.json").write_text(json.dumps(content))
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().err == f"halflearn: {flag}: {message}\n"
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_eval_oracle_2d(tmp_path):

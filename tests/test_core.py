@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from halflearn.core import (
     LabeledDataset,
-    MultiIndex,
     RngSeed,
     UnitVector,
     angle_between,
@@ -77,13 +76,6 @@ def test_enumerate_matches_brute_force(d, k):
     assert got == sorted(_brute_multi_indices(d, k), reverse=True)
     assert len(set(got)) == len(got) == count_multi_indices(d, k)
     assert all(sum(t) == k for t in got)
-
-
-def test_multi_index_degree():
-    m = MultiIndex((2, 0, 3))
-    assert m.degree == 5 and m.d == 3
-    with pytest.raises(ValueError):
-        MultiIndex((-1, 2))
 
 
 def test_unit_vector_validation():

@@ -7,12 +7,13 @@ from halflearn.core import LabeledDataset, RngSeed, angle_between, project_to_sp
 from halflearn.datagen import MarginalSpec, NoiseSpec, apply_noise, sample_marginal
 from halflearn.errors import EmptyDatasetError, NonPositiveStepError
 from halflearn.optimizer import (
+    _STREAM_BATCH,
     PsgdConfig,
     full_gradient_norm,
     initial_direction,
     psgd_candidates,
 )
-from halflearn.surrogate import SurrogateParams
+from halflearn.surrogate import SurrogateParams, empirical_surrogate_gradient
 
 
 def _cfg(**kw):
@@ -45,6 +46,24 @@ def test_single_iteration_bookkeeping():
     assert len(out.candidates) == 2
     assert out.candidates[0] == w0
     assert out.candidates[1] != w0
+
+
+def test_psgd_step_is_the_surrogate_gradient_of_its_minibatch():
+    # the minibatch step and empirical_surrogate_gradient share one formula, so
+    # one step equals the projected full-gradient step on the drawn rows, bit for bit
+    seed = RngSeed(8)
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((500, 4))
+    y = np.where(X[:, 0] + 0.3 * rng.standard_normal(500) >= 0.0, 1.0, -1.0)
+    p = SurrogateParams(0.5)
+    cfg = _cfg(step_size=0.3, batch_size=64, max_iters=1, record_every=1, grad_target=1e-300, seed=seed)
+    out = psgd_candidates(LabeledDataset(X, y), p, cfg)
+    w0 = initial_direction(4, seed)
+    idx = seed.generator(_STREAM_BATCH).integers(0, 500, size=64)
+    g = empirical_surrogate_gradient(LabeledDataset(X[idx], y[idx]), w0, p)
+    assert np.linalg.norm(g) > 0.01
+    w1 = w0.coords - 0.3 * g
+    assert np.array_equal(out.candidates[1].coords, w1 / np.linalg.norm(w1))
 
 
 def test_full_gradient_norm_examples():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from halflearn.core import LabeledDataset, MultiIndex, RngSeed, exponent_tuples, project_to_sphere
+from halflearn.core import LabeledDataset, RngSeed, exponent_tuples, project_to_sphere
 from halflearn import testers
 from halflearn.datagen import MarginalSpec, sample_marginal
 from halflearn.errors import (
@@ -51,10 +51,10 @@ CFG = TesterConfig()
 
 
 def test_gaussian_moment_examples():
-    assert gaussian_moment(MultiIndex((2, 0))) == 1.0
-    assert gaussian_moment(MultiIndex((1, 1))) == 0.0
-    assert gaussian_moment(MultiIndex((4,))) == 3.0
-    assert gaussian_moment(MultiIndex((2, 4, 6))) == 1 * 3 * 15
+    assert gaussian_moment((2, 0)) == 1.0
+    assert gaussian_moment((1, 1)) == 0.0
+    assert gaussian_moment((4,)) == 3.0
+    assert gaussian_moment((2, 4, 6)) == 1 * 3 * 15
 
 
 def test_gaussian_moment_monte_carlo_cross_check():
@@ -62,7 +62,7 @@ def test_gaussian_moment_monte_carlo_cross_check():
     x = rng.standard_normal(1_000_000)
     est = float((x**4).mean())
     se = float((x**4).std() / 1000.0)
-    assert abs(gaussian_moment(MultiIndex((4,))) - est) <= 3 * se
+    assert abs(gaussian_moment((4,)) - est) <= 3 * se
 
 
 def test_truncated_normal_moments_against_quadrature():
@@ -157,20 +157,11 @@ def test_t1_accepts_gaussian_single_seed():
 
 def test_t1_rejects_anisotropic_both_modes():
     ds = sample_marginal(MarginalSpec("aniso_gaussian", 4, scales=(2.0, 1, 1, 1)), 10_000, RngSeed(201))
-    for mode in ("theory", "calibrated"):
-        rep = moment_tester(ds, 2, TesterConfig(slack_mode=mode), TARGET)
-        assert not rep.accepted
-        failing = [c for c in rep.checks if not c.passed]
-        assert failing[0].name == "moment_2_0_0_0"
-        assert failing[0].measured == pytest.approx(3.0, abs=0.3)
-
-
-def test_t1_rejects_single_origin_sample_theory_mode():
-    ds = LabeledDataset(np.zeros((1, 2)), np.array([1.0]))
-    rep = moment_tester(ds, 2, TesterConfig(slack_mode="theory"), TARGET)
+    rep = moment_tester(ds, 2, CFG, TARGET)
     assert not rep.accepted
-    diag = [c for c in rep.checks if c.name in ("moment_2_0", "moment_0_2")]
-    assert all(c.measured == 1.0 and not c.passed for c in diag)
+    failing = [c for c in rep.checks if not c.passed]
+    assert failing[0].name == "moment_2_0_0_0"
+    assert failing[0].measured == pytest.approx(3.0, abs=0.3)
 
 
 def test_t1_odd_degree_and_size_limit():
@@ -203,7 +194,7 @@ def test_t1_custom_target_calibrated(monkeypatch):
     ds_g = gaussian_dataset(100_000, 3, seed=206)
     rep4 = moment_tester(ds_g, 4, CFG, tilt)
     fourth = next(c for c in rep4.checks if c.name == "moment_4_0_0")
-    tilt_fourth = tilt.moment(MultiIndex((4, 0, 0)))
+    tilt_fourth = tilt.moment((4, 0, 0))
     # rescaling to unit variance leaves the tilted density with excess kurtosis
     assert tilt_fourth == pytest.approx(3.3946, abs=1e-3)
     assert fourth.measured == pytest.approx(tilt_fourth - 3.0, abs=0.25)
@@ -343,37 +334,22 @@ def test_t3_custom_target_path(monkeypatch):
 
 def test_t3_custom_theory_report_ignores_the_replicate_count(empty_oracle_cache, monkeypatch):
     # a custom target's in-band moments come from a draw of their own, so the
-    # replicate count cannot move them, and theory mode draws no replicates
+    # replicate count moves the thresholds but neither the targets nor the
+    # measured deviations from them
     tilt = tilted_gaussian_target(0.5, 3)
     ds = sample_marginal(MarginalSpec("slc_exp_tilt", 3, lam=0.5), 20_000, RngSeed(228))
     w = project_to_sphere([1.0, 0.5, -0.2])
-    monkeypatch.setattr(testers, "_cached_oracle", lambda *args: pytest.fail("theory mode drew replicates"))
-    reports = []
+    runs = []
     for reps in (2, 1000):
         testers.clear_oracle_cache()
         monkeypatch.setattr(testers, "_CALIBRATION_REPS", reps)
-        cfg = TesterConfig(slack_mode="theory")
-        reports.append(band_moment_tester(ds, w, 0.4, 0.5, cfg, tilt))
-    assert reports[0] == reports[1]
-    assert len(reports[0].checks) == 2 + 34
-
-
-@pytest.mark.parametrize("tau, k", [(0.8, 2), (0.5, 4)])
-@pytest.mark.parametrize("kind", ["gaussian", "tilt"])
-def test_t3_theory_thresholds_are_tau_over_d_to_2k(kind, tau, k, monkeypatch):
-    d = 3
-    if kind == "gaussian":
-        target, ds = TARGET, gaussian_dataset(20_000, d, seed=226)
-    else:
-        target = tilted_gaussian_target(0.5, d)
-        ds = sample_marginal(MarginalSpec("slc_exp_tilt", d, lam=0.5), 20_000, RngSeed(227))
-    assert testers.band_moment_degree(tau, testers.T3_DEGREE_CAP) == k
-    monkeypatch.setattr(testers, "_CALIBRATION_REPS", 2)
-    cfg = TesterConfig(slack_mode="theory")
-    rep = band_moment_tester(ds, project_to_sphere([1.0, 0.5, -0.2]), 0.4, tau, cfg, target)
-    band = [c for c in rep.checks if c.name.startswith("band_moment_")]
-    assert len(band) == sum(len(list(exponent_tuples(d, deg))) for deg in range(1, k + 1))
-    assert {c.threshold for c in band} == {tau * d ** (-2.0 * k)}
+        rep = band_moment_tester(ds, w, 0.4, 0.5, CFG, tilt)
+        assert len(rep.checks) == 2 + 34
+        targets = testers._custom_band_moments(tilt, w, 0.4, _band_alphas(3), CFG.calibration_seed)
+        runs.append(([c.measured for c in rep.checks], targets, [c.threshold for c in rep.checks[2:]]))
+    assert runs[0][0] == runs[1][0]
+    assert runs[0][1] == runs[1][1]
+    assert runs[0][2] != runs[1][2]
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +387,7 @@ def test_null_variances_against_brute_force(case):
     rng = np.random.default_rng(106)
     if kind == "t1":
         alphas = list(exponent_tuples(d, param))
-        moment = lambda a: gaussian_moment(MultiIndex(a))
+        moment = gaussian_moment
         X = rng.standard_normal((n, d))
     else:
         alphas = _band_alphas(d)
@@ -470,7 +446,7 @@ def oracle_outputs() -> list[str]:
     out = []
     for n in (500, 20_000):
         key, stream = ("t1", target.label, 3, 4, n), (1, testers._label_tag(target.label), 3, 4, n)
-        moment = lambda a: target.moment(MultiIndex(a))
+        moment = target.moment
         sample = lambda size, rng: target.sample(size, 3, rng)
         out.append(testers._null_quantiles(key, stream, n, t1, moment, sample, cfg))
     for m in (testers._bucket_count(500), testers._bucket_count(9_000)):
@@ -493,7 +469,7 @@ def test_null_quantiles_identical_in_fresh_process(empty_oracle_cache):
     script = "\n".join([
         "import numpy as np",
         "from halflearn import testers",
-        "from halflearn.core import LabeledDataset, MultiIndex, exponent_tuples, project_to_sphere",
+        "from halflearn.core import LabeledDataset, exponent_tuples, project_to_sphere",
         inspect.getsource(gaussian_band_quantiles),
         inspect.getsource(oracle_outputs),
         "print(' '.join(oracle_outputs()))",
@@ -715,7 +691,7 @@ def test_target_spot_check_rejects_bad_band_oracle():
 
 def test_tilted_target_construction():
     tilt = tilted_gaussian_target(1.0, 3)
-    assert tilt.moment(MultiIndex((2, 0, 0))) == pytest.approx(1.0, abs=1e-9)
-    assert tilt.moment(MultiIndex((1, 0, 0))) == 0.0
-    assert tilt.moment(MultiIndex((4, 0, 0))) > 3.0  # excess kurtosis after rescaling
+    assert tilt.moment((2, 0, 0)) == pytest.approx(1.0, abs=1e-9)
+    assert tilt.moment((1, 0, 0)) == 0.0
+    assert tilt.moment((4, 0, 0)) > 3.0  # excess kurtosis after rescaling
     assert 0 < tilt.k1 <= tilt.k2

@@ -1,8 +1,9 @@
 """Command-line surface: gen / test / learn / eval.
 
 Exit codes: 0 = accept, 3 = tester reject, 2 = usage or I/O error.  Every
-stochastic command requires an explicit --seed; repeated runs with identical
-flags and inputs produce byte-identical dataset and report payloads.
+command that draws random numbers (gen, learn, and test with t1 or t3)
+requires an explicit --seed; repeated runs with identical flags and inputs
+produce byte-identical dataset and report payloads.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     t.add_argument("--theta", type=float, default=None)
     t.add_argument("--delta", type=float, default=0.05)
     t.add_argument("--target", default="gaussian", help="gaussian or tilt:<lambda>")
-    t.add_argument("--seed", type=int, required=True)
+    t.add_argument("--seed", type=int, default=None)
     t.add_argument("--out", required=True)
 
     l = sub.add_parser("learn", help="run a tester-learner")
@@ -159,7 +160,7 @@ _READS = {
         ("--planted-out", {"--noise": _NOISES}, False),
     ),
     # strip_tester tests N(0, I) only, and neither band_mass_tester nor
-    # strip_tester reads its TesterConfig
+    # strip_tester reads a TesterConfig, so t2 and t4 read no --delta or --seed
     "test": (
         ("--k", {"--tester": ("t1",)}, True),
         ("--w", {"--tester": ("t2", "t3", "t4")}, True),
@@ -168,6 +169,7 @@ _READS = {
         ("--theta", {"--tester": ("t4",)}, True),
         ("--target", {"--tester": ("t1", "t2", "t3")}, False),
         ("--delta", {"--tester": ("t1", "t3")}, False),
+        ("--seed", {"--tester": ("t1", "t3")}, True),
     ),
     "learn": (
         ("--eta", {"--mode": ("massart",)}, True),
@@ -296,8 +298,12 @@ def _cmd_test(args) -> int:
     from .core import RngSeed
     from .datagen import read_dataset_csv
 
+    # built before the data is read, so a bad value is reported first; t2
+    # and t4 read no TesterConfig
+    cfg = None
+    if args.tester in ("t1", "t3"):
+        cfg = testers.TesterConfig(delta=args.delta, calibration_seed=RngSeed(args.seed))
     ds = read_dataset_csv(args.data)
-    cfg = testers.TesterConfig(delta=args.delta, calibration_seed=RngSeed(args.seed))
     target = _make_target(args.target, ds.d)
     if args.tester == "t1":
         report = testers.moment_tester(ds, args.k, cfg, target)
@@ -314,30 +320,22 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    from . import pipeline, testers
+    from . import pipeline
     from .core import RngSeed
     from .datagen import read_dataset_csv
 
+    # built before the data is read, so a bad value is reported first
+    seed = RngSeed(args.seed)
+    if args.mode == "massart":
+        cfg = pipeline.MassartConfig(eta=args.eta, epsilon=args.epsilon, delta=args.delta, seed=seed)
+        learn = pipeline.learn_massart
+    else:
+        mode = args.submode.replace("-", "_")
+        cfg = pipeline.AgnosticConfig(epsilon=args.epsilon, delta=args.delta, mode=mode, seed=seed, k=args.k)
+        learn = pipeline.learn_agnostic
     train = read_dataset_csv(args.train)
     holdout = read_dataset_csv(args.holdout)
-    seed = RngSeed(args.seed)
-    tcfg = testers.TesterConfig(calibration_seed=seed.child(7))
-    target = _make_target(args.target, train.d)
-    if args.mode == "massart":
-        cfg = pipeline.MassartConfig(
-            eta=args.eta, epsilon=args.epsilon, delta=args.delta, seed=seed, tester_cfg=tcfg
-        )
-        result = pipeline.learn_massart(train, holdout, cfg, target)
-    else:
-        acfg = pipeline.AgnosticConfig(
-            epsilon=args.epsilon,
-            delta=args.delta,
-            mode=args.submode.replace("-", "_"),
-            seed=seed,
-            k=args.k,
-            tester_cfg=tcfg,
-        )
-        result = pipeline.learn_agnostic(train, holdout, acfg, target)
+    result = learn(train, holdout, cfg, _make_target(args.target, train.d))
     _write_json(args.out, result.to_json_dict())
     return EXIT_REJECT if result.rejected else EXIT_OK
 

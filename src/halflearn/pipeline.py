@@ -5,13 +5,15 @@
 Both run one search (``_search``): PSGD at each width, the holdout-error
 argmin among every optimizer candidate and its negation, and band vetting of
 that one orientation, which it returns or rejects with the offending tester
-report.
+report.  Every stream of a learn derives from its config's seed: PSGD from
+``seed.child(1)`` (Massart) or ``seed.child(2, width index)`` (agnostic), and
+the testers' calibration from ``seed.child(7)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -53,14 +55,12 @@ PER_CANDIDATE_INFLATION = 1.6  # extra threshold inflation for vetting calls
 @dataclass(frozen=True)
 class MassartConfig:
     """``delta`` is the run's failure budget: t1 runs at ``delta`` and each
-    vetting call at ``delta / (8 * #candidates)``, overriding
-    ``tester_cfg.delta``."""
+    vetting call at ``delta / (8 * #candidates)``."""
 
     eta: float
     epsilon: float
     delta: float
     seed: RngSeed
-    tester_cfg: TesterConfig = field(default_factory=TesterConfig)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.eta < 0.5):
@@ -72,15 +72,13 @@ class MassartConfig:
 @dataclass(frozen=True)
 class AgnosticConfig:
     """``delta`` is the run's failure budget: each global moment test runs at
-    ``delta`` and each vetting call at ``delta / (8 * #candidates * #grid)``,
-    overriding ``tester_cfg.delta``."""
+    ``delta`` and each vetting call at ``delta / (8 * #candidates * #grid)``."""
 
     epsilon: float
     delta: float
     mode: str
     seed: RngSeed
     k: int | None = None
-    tester_cfg: TesterConfig = field(default_factory=TesterConfig)
 
     def __post_init__(self) -> None:
         if self.mode not in AGNOSTIC_MODES:
@@ -244,7 +242,7 @@ def learn_massart(
         raise DimensionMismatchError("train and holdout disagree on d")
     one_minus = 1.0 - 2.0 * cfg.eta
     sigma = min(C_SIGMA * cfg.epsilon**1.5 * one_minus, 1.0)
-    tester_cfg = replace(cfg.tester_cfg, delta=cfg.delta)
+    tester_cfg = TesterConfig(delta=cfg.delta, calibration_seed=cfg.seed.child(7))
 
     reports = [moment_tester(S_train, 2, tester_cfg, target)]
     if not reports[0].accepted:
@@ -270,7 +268,7 @@ def learn_agnostic(
         raise DimensionMismatchError("train and holdout disagree on d")
     if cfg.mode == "gaussian" and target.kind != "standard_gaussian":
         raise ModeMismatchError("gaussian mode requires the standard Gaussian target")
-    tester_cfg = replace(cfg.tester_cfg, delta=cfg.delta)
+    tester_cfg = TesterConfig(delta=cfg.delta, calibration_seed=cfg.seed.child(7))
 
     reports: list[TesterReport] = []
     if cfg.mode == "slc_auto_k":

@@ -59,7 +59,7 @@ MANIFEST_SCHEMA = {
     "properties": {
         "command": {"type": "string"},
         "config": {"type": "object"},
-        "seed": {"type": "integer"},
+        "seed": {"type": ["integer", "null"]},
         "artifact_version": {"type": "string"},
         "timestamps": {
             "type": "object",

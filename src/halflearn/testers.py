@@ -104,12 +104,13 @@ def gaussian_moment(alpha: tuple[int, ...]) -> float:
 
 @dataclass(frozen=True)
 class TargetMarginal:
-    """A target distribution described through its moment and band oracles.
+    """A target distribution described through its oracles: the band mass
+    P(|<w,x>| <= sigma) with its [K1, K2] bracket, the moment E[x^alpha] and
+    a sampler of n rows in d dimensions, which the calibrated thresholds of
+    t1 and of the conditional (in-band) tester draw from.
 
-    ``standard_gaussian`` uses closed forms throughout.  ``custom`` targets
-    supply a moment oracle and a band-probability oracle; a sampler is
-    additionally required for the calibrated thresholds of t1 and of the
-    conditional (in-band) tester.
+    ``kind`` is ``standard_gaussian`` (closed-form in-band moments) or
+    ``custom`` (in-band moments from rejection-sampled rows).
     """
 
     kind: str
@@ -117,32 +118,18 @@ class TargetMarginal:
     k1: float
     k2: float
     label: str
-    moment_oracle: Callable[[tuple[int, ...]], float] | None = None
-    sampler: Callable[[int, np.random.Generator], np.ndarray] | None = None
+    moment: Callable[[tuple[int, ...]], float]
+    sample: Callable[[int, int, np.random.Generator], np.ndarray]
 
     def __post_init__(self) -> None:
         if self.kind not in ("standard_gaussian", "custom"):
             raise ValueError(f"unknown target kind {self.kind!r}")
         if not (0 < self.k1 <= self.k2):
             raise ValueError("need 0 < K1 <= K2")
-        if self.kind == "custom" and self.moment_oracle is None:
-            raise ValueError("custom targets need a moment oracle")
         for s in (0.01, 0.1, 0.5, 1.0):
             ratio = self.band_prob_oracle(s) / s
             if not (self.k1 <= ratio <= self.k2):
                 raise ValueError(f"band mass ratio {ratio:.6f} at sigma={s} escapes [K1, K2]")
-
-    def moment(self, alpha: tuple[int, ...]) -> float:
-        if self.kind == "standard_gaussian":
-            return gaussian_moment(alpha)
-        return float(self.moment_oracle(alpha))
-
-    def sample(self, n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "standard_gaussian":
-            return rng.standard_normal((n, dim))
-        if self.sampler is None:
-            raise ValueError(f"target {self.label!r} has no sampler; calibrated thresholds need one")
-        return np.asarray(self.sampler(n, rng), dtype=np.float64)
 
 
 def standard_gaussian_target() -> TargetMarginal:
@@ -152,6 +139,8 @@ def standard_gaussian_target() -> TargetMarginal:
         k1=GAUSSIAN_K1,
         k2=GAUSSIAN_K2,
         label="standard_gaussian",
+        moment=gaussian_moment,
+        sample=lambda n, d, rng: rng.standard_normal((n, d)),
     )
 
 
@@ -198,8 +187,8 @@ def tilted_gaussian_target(lam: float, d: int) -> TargetMarginal:
         k1=0.99 * float(ratios.min()),
         k2=1.01 * float(ratios.max()),
         label=f"exp_tilt_{lam:.6g}_d{d}",
-        moment_oracle=moment_oracle,
-        sampler=lambda n, rng: sample_exp_tilt(n * d, lam, rng).reshape(n, d),
+        moment=moment_oracle,
+        sample=lambda n, d, rng: sample_exp_tilt(n * d, lam, rng).reshape(n, d),
     )
 
 

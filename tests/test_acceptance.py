@@ -279,10 +279,10 @@ def test_criterion_9_cli_determinism_and_schemas(tmp_path):
     rep = tmp_path / "rep.json"
     for tester_args in (
         ("test", "--tester", "t1", "--data", train, "--k", 2, "--seed", 83, "--out", rep),
-        ("test", "--tester", "t2", "--data", train, "--w", "1,0,0", "--sigma", 0.5, "--seed", 83, "--out", rep),
+        ("test", "--tester", "t2", "--data", train, "--w", "1,0,0", "--sigma", 0.5, "--out", rep),
         ("test", "--tester", "t3", "--data", train, "--w", "1,0,0", "--sigma", 0.4, "--tau", 0.5,
          "--seed", 83, "--out", rep),
-        ("test", "--tester", "t4", "--data", train, "--w", "1,0,0", "--theta", 0.2, "--seed", 83, "--out", rep),
+        ("test", "--tester", "t4", "--data", train, "--w", "1,0,0", "--theta", 0.2, "--out", rep),
     ):
         code = byte_identical(tester_args, rep)
         if code not in (0, 3):

@@ -13,7 +13,7 @@ from halflearn.schemas import (
     TESTER_REPORT_SCHEMA,
 )
 
-from conftest import child_env, gaussian_dataset
+from conftest import child_env, gaussian_dataset, planted_massart
 
 
 def run_cli(*args):
@@ -229,7 +229,7 @@ def test_t2_t3_t4_run_and_validate(tmp_path):
     w = "1,0,0,0"
     rep = tmp_path / "rep.json"
     assert run_cli("test", "--tester", "t2", "--data", good, "--w", w, "--sigma", 0.5,
-                   "--seed", 3, "--out", rep).returncode == 0
+                   "--out", rep).returncode == 0
     jsonschema.validate(json.loads(rep.read_text()), TESTER_REPORT_SCHEMA)
     assert run_cli("test", "--tester", "t3", "--data", good, "--w", w, "--sigma", 0.3,
                    "--tau", 0.5, "--seed", 3, "--out", rep).returncode == 0
@@ -239,8 +239,11 @@ def test_t2_t3_t4_run_and_validate(tmp_path):
     assert rep.read_bytes() == first  # calibrated thresholds are seed-deterministic
     jsonschema.validate(json.loads(rep.read_text()), TESTER_REPORT_SCHEMA)
     assert run_cli("test", "--tester", "t4", "--data", good, "--w", w, "--theta", 0.2,
-                   "--seed", 3, "--out", rep).returncode == 0
+                   "--out", rep).returncode == 0
     jsonschema.validate(json.loads(rep.read_text()), TESTER_REPORT_SCHEMA)
+    manifest = json.loads((tmp_path / "rep.json.manifest.json").read_text())
+    jsonschema.validate(manifest, MANIFEST_SCHEMA)
+    assert manifest["seed"] is None  # t4 draws nothing
 
 
 def test_learn_massart_cli(tmp_path):
@@ -321,6 +324,32 @@ def test_learn_agnostic_cli_and_mode_mismatch(tmp_path):
     assert res.returncode == 2  # missing --submode
 
 
+@pytest.mark.parametrize("mode_flags", [("--mode", "massart", "--eta", "0.1"),
+                                        ("--mode", "agnostic", "--submode", "gaussian")],
+                         ids=["massart", "agnostic-gaussian"])
+def test_cli_and_library_learn_give_the_same_payload(tmp_path, mode_flags):
+    # one seed is one run: the command line calibrates as the library does
+    from halflearn import pipeline, testers
+    from halflearn.core import RngSeed
+    from halflearn.datagen import read_dataset_csv, write_dataset_csv
+
+    paths = {name: str(tmp_path / f"{name}.csv") for name in ("train", "hold")}
+    write_dataset_csv(planted_massart(20_000, 3, eta=0.1, seed=70)[0], paths["train"])
+    write_dataset_csv(planted_massart(5_000, 3, eta=0.1, seed=71)[0], paths["hold"])
+    out = tmp_path / "learn.json"
+    res = run_cli("learn", *mode_flags, "--train", paths["train"], "--holdout", paths["hold"],
+                  "--epsilon", 0.5, "--seed", 72, "--out", out)
+    assert res.returncode in (0, 3), res.stderr
+
+    if mode_flags[1] == "massart":
+        cfg, learn = pipeline.MassartConfig(0.1, 0.5, 0.05, RngSeed(72)), pipeline.learn_massart
+    else:
+        cfg, learn = pipeline.AgnosticConfig(0.5, 0.05, "gaussian", RngSeed(72)), pipeline.learn_agnostic
+    train, hold = (read_dataset_csv(p) for p in paths.values())
+    result = learn(train, hold, cfg, testers.standard_gaussian_target())
+    assert out.read_text() == json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("mode_flags, flag", [
     (("--mode", "agnostic", "--submode", "gaussian", "--eta", "0.1"), "--eta"),
     (("--mode", "massart", "--eta", "0.1", "--submode", "gaussian"), "--submode"),
@@ -335,20 +364,30 @@ def test_learn_agnostic_cli_and_mode_mismatch(tmp_path):
     # the defaults, given explicitly
     (("--mode", "massart", "--eta", "0.1", "--delta", "0.05"), None),
     (("--mode", "agnostic", "--submode", "gaussian", "--delta", "0.05", "--target", "gaussian"), None),
+    # a bad value, where flag holds the message: it is reported before any file is read
+    (("--mode", "massart", "--eta", "0.7"), "ValueError: eta must lie in [0, 0.5)"),
+    (("--mode", "massart", "--eta", "0.1", "--delta", "1.5"), "ValueError: need epsilon > 0 and delta in (0, 1)"),
+    (("--mode", "agnostic", "--submode", "gaussian", "--epsilon", "1.5"),
+     "ValueError: need epsilon in (0,1) and delta in (0,1)"),
+    (("--mode", "agnostic", "--submode", "slc-auto-k", "--seed", "-1"),
+     "ValueError: seed must be a 64-bit unsigned integer"),
 ])
 def test_learn_rejects_flags_its_mode_does_not_read(tmp_path, capsys, mode_flags, flag):
     from halflearn.cli import main
 
     out = tmp_path / "r.json"
-    # the flags are checked before the (here missing) data files are read
-    argv = ["learn", *mode_flags, "--train", str(tmp_path / "t.csv"), "--holdout", str(tmp_path / "h.csv"),
-            "--epsilon", "0.5", "--seed", "1", "--out", str(out)]
+    # the flags are checked before the (here missing) data files are read;
+    # mode_flags come last, so a row's --epsilon or --seed overrides these
+    argv = ["learn", "--train", str(tmp_path / "t.csv"), "--holdout", str(tmp_path / "h.csv"),
+            "--epsilon", "0.5", "--seed", "1", *mode_flags, "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     if flag is None:
         assert err == f"halflearn: [Errno 2] No such file or directory: {str(tmp_path / 't.csv')!r}\n"
-    else:
+    elif flag.startswith("--"):
         assert_flag_error(err, flag, argv)
+    else:
+        assert err == f"halflearn: {flag}\n"
     assert not out.exists()
 
 
@@ -373,19 +412,29 @@ def test_learn_rejects_flags_its_mode_does_not_read(tmp_path, capsys, mode_flags
     # the defaults, given explicitly
     (("t4", "--w", "1,0,0", "--theta", "0.2", "--delta", "0.05"), None),
     (("t1", "--k", "2", "--delta", "0.05"), None),
+    # t2 and t4 draw nothing, so they read no --seed
+    (("t2", "--w", "1,0,0", "--sigma", "0.5", "--seed", "3"), "--seed"),
+    # a bad value, where flag holds the message: it is reported before any file is read
+    (("t1", "--k", "2", "--delta", "1.5"), "ValueError: delta must lie in (0, 1)"),
+    (("t3", "--w", "1,0,0", "--sigma", "0.5", "--tau", "0.5", "--seed", "-1"),
+     "ValueError: seed must be a 64-bit unsigned integer"),
 ])
 def test_test_rejects_flags_its_tester_does_not_read(tmp_path, capsys, tester_flags, flag):
     from halflearn.cli import main
 
     out = tmp_path / "r.json"
-    # the flags are checked before the (here missing) data file is read
-    argv = ["test", "--tester", *tester_flags, "--data", str(tmp_path / "d.csv"), "--seed", "1", "--out", str(out)]
+    # the flags are checked before the (here missing) data file is read; t1
+    # and t3 get a --seed unless the row gives one
+    seed = ("--seed", "1") if tester_flags[0] in ("t1", "t3") and "--seed" not in tester_flags else ()
+    argv = ["test", "--tester", *tester_flags, "--data", str(tmp_path / "d.csv"), *seed, "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     if flag is None:
         assert "is read only with" not in err and "d.csv" in err
-    else:
+    elif flag.startswith("--"):
         assert_flag_error(err, flag, argv)
+    else:
+        assert err == f"halflearn: {flag}\n"
     assert not out.exists()
 
 
@@ -407,8 +456,7 @@ def test_slack_mode_is_not_a_flag(tmp_path, capsys, monkeypatch, command, value)
 _VECTOR_COMMANDS = {
     "--hypothesis": ("eval", "--hypothesis", "v.json", "--data", "d.csv", "--out", "m.json"),
     "--planted": ("eval", "--hypothesis", "1,0,0", "--planted", "v.json", "--data", "d.csv", "--out", "m.json"),
-    "--w": ("test", "--tester", "t4", "--w", "v.json", "--theta", "0.2", "--data", "d.csv", "--seed", "1",
-            "--out", "m.json"),
+    "--w": ("test", "--tester", "t4", "--w", "v.json", "--theta", "0.2", "--data", "d.csv", "--out", "m.json"),
 }
 
 

@@ -150,7 +150,8 @@ def _bogus_band_target() -> TargetMarginal:
         k1=0.2,
         k2=1.7,
         label="bogus_band",
-        moment_oracle=gaussian_moment,
+        moment=gaussian_moment,
+        sample=lambda n, d, rng: rng.standard_normal((n, d)),
     )
 
 
@@ -171,9 +172,10 @@ def test_learners_spend_their_own_delta(monkeypatch):
 
     train, _ = planted_massart(20_000, 3, eta=0.1, seed=634)
     hold, _ = planted_massart(5_000, 3, eta=0.1, seed=635)
-    want_t1 = moment_tester(train, 2, TesterConfig(delta=0.01), TARGET)
+    calibration = RngSeed(636).child(7)  # a learner calibrates on its seed's stream 7
+    want_t1 = moment_tester(train, 2, TesterConfig(delta=0.01, calibration_seed=calibration), TARGET)
     # the threshold rank differs between delta 0.05 and 0.01, so the reports do too
-    assert want_t1 != moment_tester(train, 2, TesterConfig(), TARGET)
+    assert want_t1 != moment_tester(train, 2, TesterConfig(calibration_seed=calibration), TARGET)
 
     psgd, band, strip = pl.psgd_candidates, pl.band_moment_tester, pl.strip_tester
     widths = []  # (sigma, #distinct candidates) per PSGD run
@@ -238,7 +240,8 @@ def test_learners_spend_their_own_delta(monkeypatch):
     cfg = AgnosticConfig(epsilon=0.3, delta=0.01, mode="gaussian", seed=RngSeed(637))
     res = pl.learn_agnostic(aniso, aniso, cfg, TARGET)
     assert res.rejected and res.candidates_examined == 0 and res.sigma_used == 0.0
-    assert res.tester_reports == (moment_tester(aniso, 2, TesterConfig(delta=0.01), TARGET),)
+    want_t1 = moment_tester(aniso, 2, TesterConfig(delta=0.01, calibration_seed=RngSeed(637).child(7)), TARGET)
+    assert res.tester_reports == (want_t1,)
 
 
 def _spy_pool(monkeypatch):
@@ -281,7 +284,8 @@ def test_learn_agnostic_vets_only_the_holdout_argmin(monkeypatch):
     cands = dict(distinct)[sigma]
     w = next(c for c in cands if res.hypothesis in (c, c.negated()))
     tcfg = TesterConfig(calibration_inflation=1.5 * pipeline.PER_CANDIDATE_INFLATION,
-                        delta=0.05 * (1.0 / (8.0 * len(cands) * len(runs))))
+                        delta=0.05 * (1.0 / (8.0 * len(cands) * len(runs))),
+                        calibration_seed=RngSeed(627).child(7))
     want = (
         testers.band_moment_tester(train, w, sigma / 2.0, pipeline.C2, tcfg, TARGET),
         testers.band_moment_tester(train, w, sigma / 6.0, pipeline.C2, tcfg, TARGET),

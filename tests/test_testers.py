@@ -685,7 +685,8 @@ def test_target_spot_check_rejects_bad_band_oracle():
             k1=GAUSSIAN_K1,
             k2=GAUSSIAN_K2,
             label="bad",
-            moment_oracle=lambda a: 0.0,
+            moment=lambda a: 0.0,
+            sample=lambda n, d, rng: rng.standard_normal((n, d)),
         )
 
 

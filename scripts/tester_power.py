@@ -25,7 +25,7 @@ def aniso_accept_rate(scale, d, n, seeds, seed_base, cfg, target):
     return hits / seeds
 
 
-def strip_accept_rate(factor, d, n, theta, seeds, seed_base, cfg):
+def strip_accept_rate(factor, d, n, theta, seeds, seed_base):
     w = project_to_sphere([1.0] + [0.0] * (d - 1))
     hits = 0
     for s in range(seeds):
@@ -34,7 +34,7 @@ def strip_accept_rate(factor, d, n, theta, seeds, seed_base, cfg):
         margins = X @ w.coords
         in_strip = (margins >= 0.0) & (margins < theta)
         X[np.ix_(in_strip, list(range(1, d)))] *= factor
-        hits += strip_tester(LabeledDataset(X, ds.labels), w, theta, cfg).accepted
+        hits += strip_tester(LabeledDataset(X, ds.labels), w, theta).accepted
     return hits / seeds
 
 
@@ -56,9 +56,7 @@ def main():
         rows.append({"family": "aniso_scale", "level": scale, "accept_rate": rate})
         print(f"t1 vs aniso scale {scale:4.2f}: accept rate {rate:.2f}")
     for factor in (1.0, 1.05, 1.1, 1.2, 1.5, 2.0):
-        rate = strip_accept_rate(
-            factor, args.d, max(args.n, 200_000), args.theta, args.seeds, args.seed_base, cfg
-        )
+        rate = strip_accept_rate(factor, args.d, max(args.n, 200_000), args.theta, args.seeds, args.seed_base)
         rows.append({"family": "strip_inflation", "level": factor, "accept_rate": rate})
         print(f"t4 vs strip inflation {factor:4.2f}: accept rate {rate:.2f}")
     with open(args.out, "w") as fh:

@@ -98,7 +98,10 @@ def _read_vector(text_or_path: str, d: int, flag: str):
 
     if os.path.exists(text_or_path):
         with open(text_or_path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+                raise UsageExit(f"{flag}: {text_or_path} is not JSON: {exc}") from exc
         if isinstance(obj, dict):
             obj = obj.get("coords", obj.get("hypothesis"))
             if obj is None:  # a rejected learn result has a null hypothesis
@@ -115,8 +118,12 @@ def _read_vector(text_or_path: str, d: int, flag: str):
     if vec.shape != (d,):
         raise UsageExit(f"{flag}: vector has dimension {vec.shape}, dataset has d={d}")
     from .core import project_to_sphere
+    from .errors import ZeroVectorError
 
-    return project_to_sphere(vec)
+    try:
+        return project_to_sphere(vec)
+    except (ZeroVectorError, ValueError) as exc:  # a zero or non-finite vector
+        raise UsageExit(f"{flag}: {exc}") from exc
 
 
 def _target_lambda(spec: str) -> float | None:
@@ -160,7 +167,7 @@ _READS = {
         ("--planted-out", {"--noise": _NOISES}, False),
     ),
     # strip_tester tests N(0, I) only, and neither band_mass_tester nor
-    # strip_tester reads a TesterConfig, so t2 and t4 read no --delta or --seed
+    # strip_tester takes a TesterConfig, so t2 and t4 read no --delta or --seed
     "test": (
         ("--k", {"--tester": ("t1",)}, True),
         ("--w", {"--tester": ("t2", "t3", "t4")}, True),
@@ -299,7 +306,7 @@ def _cmd_test(args) -> int:
     from .datagen import read_dataset_csv
 
     # built before the data is read, so a bad value is reported first; t2
-    # and t4 read no TesterConfig
+    # and t4 take no TesterConfig
     cfg = None
     if args.tester in ("t1", "t3"):
         cfg = testers.TesterConfig(delta=args.delta, calibration_seed=RngSeed(args.seed))
@@ -310,11 +317,11 @@ def _cmd_test(args) -> int:
     else:
         w = _read_vector(args.w, ds.d, "--w")
         if args.tester == "t2":
-            report = testers.band_mass_tester(ds, w, args.sigma, cfg, target)
+            report = testers.band_mass_tester(ds, w, args.sigma, target)
         elif args.tester == "t3":
             report = testers.band_moment_tester(ds, w, args.sigma, args.tau, cfg, target)
         else:
-            report = testers.strip_tester(ds, w, args.theta, cfg)
+            report = testers.strip_tester(ds, w, args.theta)
     _write_json(args.out, report.to_json_dict())
     return EXIT_OK if report.accepted else EXIT_REJECT
 
@@ -384,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
             config = {k: v for k, v in vars(args).items() if k != "command"}
             _manifest(args.out, args.command, config, args.seed, start)
         return code
-    except (UsageExit, OSError, json.JSONDecodeError) as exc:
+    except (UsageExit, OSError) as exc:
         print(f"halflearn: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # domain errors (dimension, mode, validation)

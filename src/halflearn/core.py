@@ -127,19 +127,11 @@ def angle_between(u: UnitVector, v: UnitVector) -> float:
     return float(np.arccos(np.clip(float(u.coords @ v.coords), -1.0, 1.0)))
 
 
-def halfspace_signs(points: np.ndarray, w: UnitVector) -> np.ndarray:
-    """sign(<w, x>) per row with the sign(0) = +1 convention."""
-    X = np.asarray(points, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != w.d:
-        raise DimensionMismatchError("points and direction disagree on d")
-    return np.where(X @ w.coords >= 0.0, 1.0, -1.0)
-
-
 def empirical_error(S: LabeledDataset, w: UnitVector) -> float:
     """Fraction of samples misclassified by sign(<w, x>), with sign(0) = +1."""
     if S.d != w.d:
         raise DimensionMismatchError("dataset and direction disagree on d")
-    return float(np.mean(halfspace_signs(S.points, w) != S.labels))
+    return float(np.mean(np.where(S.points @ w.coords >= 0.0, 1.0, -1.0) != S.labels))
 
 
 def count_multi_indices(d: int, k: int) -> int:

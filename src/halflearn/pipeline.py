@@ -50,6 +50,8 @@ C4 = 2.0  # certified angle per unit of ramp width
 BOUND_C1 = 1.0  # moment-growth constant in the analytic bound
 BOUND_C3 = 1.0  # band-mass constant in the analytic bound
 PER_CANDIDATE_INFLATION = 1.6  # extra threshold inflation for vetting calls
+# inflation of every vetting t3 threshold: the TesterConfig default times the above
+VETTING_INFLATION = TesterConfig.calibration_inflation * PER_CANDIDATE_INFLATION
 
 
 @dataclass(frozen=True)
@@ -169,27 +171,26 @@ def _pipeline_psgd_config(sigma: float, grad_target: float, n: int, seed: RngSee
 
 class _Orientation(NamedTuple):
     """One entry of the holdout pool: orientation h, the PSGD candidate w it
-    came from (h or -h), and how h is vetted at its width sigma."""
+    came from (h or -h), and the ramp width sigma w was found at."""
 
     h: UnitVector
     w: UnitVector
     sigma: float
-    tcfg: TesterConfig
-    theta: float | None
 
 
-def _vet(train: LabeledDataset, o: _Orientation, target: TargetMarginal, reports: list[TesterReport]) -> bool:
-    """t3 at sigma/2 and then sigma/6, and t4 at theta if set; stops at the
-    first rejection.  t3 runs on the generating candidate w: for h = -w that
-    is the frame diag(-1, I) H(w), which maps -w to e1 and gives -w the same
-    band reports as w.  t4 runs on h, as strips are not symmetric."""
+def _vet(train: LabeledDataset, o: _Orientation, tcfg: TesterConfig, theta: float | None,
+         target: TargetMarginal, reports: list[TesterReport]) -> bool:
+    """t3 at sigma/2 and then sigma/6 under ``tcfg``, and t4 at theta if set;
+    stops at the first rejection.  t3 runs on the generating candidate w: for
+    h = -w that is the frame diag(-1, I) H(w), which maps -w to e1 and gives
+    -w the same band reports as w.  t4 runs on h, as strips are not symmetric."""
     for width in (o.sigma / 2.0, o.sigma / 6.0):
-        reports.append(band_moment_tester(train, o.w, width, C2, o.tcfg, target))
+        reports.append(band_moment_tester(train, o.w, width, C2, tcfg, target))
         if not reports[-1].accepted:
             return False
-    if o.theta is None:
+    if theta is None:
         return True
-    reports.append(strip_tester(train, o.h, o.theta, o.tcfg))
+    reports.append(strip_tester(train, o.h, theta))
     return reports[-1].accepted
 
 
@@ -201,31 +202,33 @@ def _search(
     target: TargetMarginal,
     strips: bool,
     reports: list[TesterReport],
-) -> tuple[float, UnitVector | None, float | None]:
+) -> tuple[float, float, UnitVector | None, float | None]:
     """PSGD -> select -> vet over ramp widths, each (sigma, grad_target, seed).
 
     The pool holds each distinct candidate of every width and its negation.
     Only the holdout-best orientation h is vetted, at delta / (8 *
-    #candidates * #widths) with thresholds inflated by PER_CANDIDATE_INFLATION,
-    and with t4 at theta = min(C4 sigma, pi/4) if ``strips``; that share
-    covers every orientation the selection could have returned.  Returns
-    (h's sigma, h or None if its vetting failed, h's holdout error or None)."""
+    #candidates at h's width * #widths) with thresholds inflated by
+    VETTING_INFLATION, and with t4 at theta = min(C4 sigma, pi/4) if
+    ``strips``; that share covers every orientation the selection could have
+    returned.  Returns (h's sigma, its theta, h or None if its vetting
+    failed, h's holdout error or None)."""
     pool: list[_Orientation] = []
     for sigma, grad_target, seed in widths:
         pcfg = _pipeline_psgd_config(sigma, grad_target, train.n, seed)
         found = psgd_candidates(train, SurrogateParams(sigma), pcfg).candidates
         # one per exact coordinate bytes, in order of first appearance
         cands = list({w.coords.tobytes(): w for w in found}.values())
-        share = 1.0 / (8.0 * len(cands) * len(widths))
-        inflation = tester_cfg.calibration_inflation * PER_CANDIDATE_INFLATION
-        tcfg = replace(tester_cfg, calibration_inflation=inflation, delta=max(tester_cfg.delta * share, 1e-12))
-        theta = min(C4 * sigma, math.pi / 4.0) if strips else None
-        pool.extend(_Orientation(h, w, sigma, tcfg, theta) for w in cands for h in (w, w.negated()))
+        pool.extend(_Orientation(h, w, sigma) for w in cands for h in (w, w.negated()))
     best, err = select_best_candidate(holdout, [o.h for o in pool])
     chosen = next(o for o in pool if o.h == best)
-    if not _vet(train, chosen, target, reports):
-        return chosen.sigma, None, None
-    return chosen.sigma, best, err
+    # each distinct candidate at h's width holds two pool entries; the widths are distinct
+    count = sum(o.sigma == chosen.sigma for o in pool) // 2
+    share = 1.0 / (8.0 * count * len(widths))
+    tcfg = replace(tester_cfg, calibration_inflation=VETTING_INFLATION, delta=max(tester_cfg.delta * share, 1e-12))
+    theta = min(C4 * chosen.sigma, math.pi / 4.0)
+    if not _vet(train, chosen, tcfg, theta if strips else None, target, reports):
+        return chosen.sigma, theta, None, None
+    return chosen.sigma, theta, best, err
 
 
 def learn_massart(
@@ -249,7 +252,7 @@ def learn_massart(
         return LearnResult(True, sigma, 0, tuple(reports))
 
     widths = [(sigma, C1 * one_minus * sigma / 2.0, cfg.seed.child(1))]
-    _, best, err = _search(S_train, S_holdout, widths, tester_cfg, target, False, reports)
+    _, _, best, err = _search(S_train, S_holdout, widths, tester_cfg, target, False, reports)
     return LearnResult(best is None, sigma, 1, tuple(reports), best, err)
 
 
@@ -292,9 +295,8 @@ def learn_agnostic(
 
     widths = [(sigma, C2, cfg.seed.child(2, ci)) for ci, sigma in enumerate(grid)]
     strips = cfg.mode == "gaussian"
-    sigma, best, err = _search(S_train, S_holdout, widths, tester_cfg, target, strips, reports)
+    sigma, theta, best, err = _search(S_train, S_holdout, widths, tester_cfg, target, strips, reports)
     if best is None:
         return LearnResult(True, sigma, 1, tuple(reports))
-    theta = min(C4 * sigma, math.pi / 4.0)
     bound = 4.0 * theta if strips else min(angle_to_error_bound(theta, k, BOUND_C1, BOUND_C3)[1] for k in swept_ks)
     return LearnResult(False, sigma, 1, tuple(reports), best, err, bound)

@@ -109,11 +109,11 @@ def test_criterion_3_tester_completeness():
         rng = np.random.default_rng(3000 + s)
         ds_small = sample_marginal(MarginalSpec("standard_gaussian", 4), 50_000, RngSeed(3100 + s))
         counts["t1"] += moment_tester(ds_small, 2, cfg, TARGET).accepted
-        counts["t2"] += band_mass_tester(ds_small, random_unit(4, rng), 0.3, cfg, TARGET).accepted
+        counts["t2"] += band_mass_tester(ds_small, random_unit(4, rng), 0.3, TARGET).accepted
         ds_mid = sample_marginal(MarginalSpec("standard_gaussian", 4), 200_000, RngSeed(3200 + s))
         counts["t3"] += band_moment_tester(ds_mid, random_unit(4, rng), 0.3, 0.5, cfg, TARGET).accepted
         ds_big = sample_marginal(MarginalSpec("standard_gaussian", 4), 1_000_000, RngSeed(3300 + s))
-        counts["t4"] += strip_tester(ds_big, random_unit(4, rng), 0.1, cfg).accepted
+        counts["t4"] += strip_tester(ds_big, random_unit(4, rng), 0.1).accepted
     ok = all(v >= 19 for v in counts.values())
     _emit("criterion 3: tester completeness", ok, f"accept counts over 20 seeds: {counts}")
 
@@ -139,7 +139,7 @@ def test_criterion_4_tester_soundness():
         margins = X @ w.coords
         in_strip = (margins >= 0.0) & (margins < theta)
         X[np.ix_(in_strip, [1, 2, 3])] *= 2.0
-        strip_rejects += not strip_tester(LabeledDataset(X, ds.labels), w, theta, cfg).accepted
+        strip_rejects += not strip_tester(LabeledDataset(X, ds.labels), w, theta).accepted
     ok = aniso_rejects == 20 and t_rejects >= 19 and strip_rejects == 20
     _emit(
         "criterion 4: tester soundness",

@@ -350,6 +350,25 @@ def test_cli_and_library_learn_give_the_same_payload(tmp_path, mode_flags):
     assert out.read_text() == json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
+def test_t2_and_t4_payloads_equal_direct_calls(tmp_path):
+    # t2 reads (S, w, sigma, target) and t4 reads (S, w, theta), and neither a TesterConfig
+    from halflearn import testers
+    from halflearn.core import project_to_sphere
+    from halflearn.datagen import read_dataset_csv, write_dataset_csv
+
+    data = str(tmp_path / "d.csv")
+    write_dataset_csv(gaussian_dataset(30_000, 3, seed=41), data)
+    ds, w = read_dataset_csv(data), project_to_sphere([1.0, 2.0, -0.5])
+    for flags, report in (
+        (("t2", "--sigma", 0.3), testers.band_mass_tester(ds, w, 0.3, testers.standard_gaussian_target())),
+        (("t4", "--theta", 0.2), testers.strip_tester(ds, w, 0.2)),
+    ):
+        out = tmp_path / "r.json"
+        res = run_cli("test", "--tester", *flags, "--data", data, "--w", "1,2,-0.5", "--out", out)
+        assert res.returncode == (0 if report.accepted else 3), res.stderr
+        assert out.read_text() == json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("mode_flags, flag", [
     (("--mode", "agnostic", "--submode", "gaussian", "--eta", "0.1"), "--eta"),
     (("--mode", "massart", "--eta", "0.1", "--submode", "gaussian"), "--submode"),
@@ -399,7 +418,7 @@ def test_learn_rejects_flags_its_mode_does_not_read(tmp_path, capsys, mode_flags
     (("t3", "--w", "1,0,0", "--sigma", "0.5", "--tau", "0.5", "--theta", "0.2"), "--theta"),
     (("t4", "--w", "1,0,0", "--theta", "0.2", "--target", "tilt:0.5"), "--target"),  # t4 tests N(0, I) only
     (("t4", "--w", "1,0,0", "--theta", "0.2", "--target", "gaussian"), None),  # the default is read by all
-    # t1 and t3 read --delta; band_mass_tester and strip_tester read no TesterConfig
+    # t1 and t3 read --delta; band_mass_tester and strip_tester take no TesterConfig
     (("t1", "--k", "2", "--delta", "0.9"), None),
     (("t2", "--w", "1,0,0", "--sigma", "0.5", "--delta", "0.9"), "--delta"),
     (("t3", "--w", "1,0,0", "--sigma", "0.5", "--tau", "0.5", "--delta", "0.9"), None),
@@ -468,7 +487,10 @@ _VECTOR_COMMANDS = {
      "v.json does not hold a vector of numbers: could not convert string to float: 'a'"),
     ("--hypothesis", [1, 0], "vector has dimension (2,), dataset has d=3"),
     ("--w", None, "cannot parse vector '1,a,0'"),
-], ids=["rejected-hypothesis", "rejected-w", "not-a-number", "dimension", "comma-list"])
+    # bytes are written as they are
+    ("--hypothesis", b"not json", "v.json is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("--w", [0, 0, 0], "vector has numerically zero norm"),
+], ids=["rejected-hypothesis", "rejected-w", "not-a-number", "dimension", "comma-list", "not-json", "zero"])
 def test_vector_errors_name_their_flag(tmp_path, capsys, monkeypatch, flag, content, message):
     from halflearn.cli import main
     from halflearn.datagen import write_dataset_csv
@@ -480,6 +502,8 @@ def test_vector_errors_name_their_flag(tmp_path, capsys, monkeypatch, flag, cont
     argv = _VECTOR_COMMANDS[flag]
     if content is None:
         argv = tuple("1,a,0" if a == "v.json" else a for a in argv)
+    elif isinstance(content, bytes):
+        (tmp_path / "v.json").write_bytes(content)
     else:
         (tmp_path / "v.json").write_text(json.dumps(content))
     assert main(list(argv)) == 2

@@ -201,18 +201,18 @@ def test_learners_spend_their_own_delta(monkeypatch):
         (0.01 * (1.0 / (8.0 * n_cands)), 1.5 * 1.6)
     }
 
-    # agnostic: the vetting calls of the returned orientation spend delta / (8
-    # * #distinct candidates at its width * #grid); t4 runs in gaussian mode
-    # only, with the same budget, at theta = min(C4 sigma, pi/4)
-    calls = []  # (tester, sigma or theta, cfg)
+    # agnostic: the t3 calls of the returned orientation spend delta / (8 *
+    # #distinct candidates at its width * #grid); t4, which takes no config,
+    # runs in gaussian mode only, at theta = min(C4 sigma, pi/4)
+    calls = []  # (tester, sigma or theta, cfg or None)
 
     def vet_spy(S, w, sigma, tau, tcfg, target):
         calls.append(("t3", sigma, tcfg))
         return band(S, w, sigma, tau, tcfg, target)
 
-    def strip_spy(S, w, theta, tcfg):
-        calls.append(("t4", theta, tcfg))
-        return strip(S, w, theta, tcfg)
+    def strip_spy(S, w, theta):
+        calls.append(("t4", theta, None))
+        return strip(S, w, theta)
 
     monkeypatch.setattr(pl, "band_moment_tester", vet_spy)
     monkeypatch.setattr(pl, "strip_tester", strip_spy)
@@ -226,7 +226,7 @@ def test_learners_spend_their_own_delta(monkeypatch):
         res = pl.learn_agnostic(a_train, a_hold, cfg, TARGET)
         assert not res.rejected and [sigma for sigma, _ in widths] == grid
         sigma, n = res.sigma_used, dict(widths)[res.sigma_used]
-        for _, _, tcfg in calls:
+        for _, _, tcfg in calls[:2]:
             assert (tcfg.delta, tcfg.calibration_inflation) == (0.01 * (1.0 / (8.0 * n * len(grid))), 1.5 * 1.6)
         t4 = [("t4", min(pl.C4 * sigma, math.pi / 4.0))] if mode == "gaussian" else []
         assert [call[:2] for call in calls] == [("t3", sigma / 2.0), ("t3", sigma / 6.0), *t4]
@@ -279,7 +279,7 @@ def test_learn_agnostic_vets_only_the_holdout_argmin(monkeypatch):
     assert res.hypothesis == pool[errs.index(min(errs))] and res.empirical_error == min(errs)
 
     # after t1, the reports are t3 on the generating candidate w at sigma/2
-    # and sigma/6, then t4 on h, all with the vetting config of h's width
+    # and sigma/6 with the vetting config of h's width, then t4 on h
     sigma = res.sigma_used
     cands = dict(distinct)[sigma]
     w = next(c for c in cands if res.hypothesis in (c, c.negated()))
@@ -289,7 +289,7 @@ def test_learn_agnostic_vets_only_the_holdout_argmin(monkeypatch):
     want = (
         testers.band_moment_tester(train, w, sigma / 2.0, pipeline.C2, tcfg, TARGET),
         testers.band_moment_tester(train, w, sigma / 6.0, pipeline.C2, tcfg, TARGET),
-        testers.strip_tester(train, res.hypothesis, min(pipeline.C4 * sigma, math.pi / 4.0), tcfg),
+        testers.strip_tester(train, res.hypothesis, min(pipeline.C4 * sigma, math.pi / 4.0)),
     )
     assert res.tester_reports[0].checks[0].name.startswith("moment_")
     assert res.tester_reports[1:] == want
@@ -361,7 +361,7 @@ def test_vetting_a_candidate_or_its_negation_gives_the_same_verdicts(d, seed, si
         ):
             for h in (cand, cand.negated()):
                 reports = []
-                ok = pipeline._vet(train, pipeline._Orientation(h, cand, sigma, tcfg, theta), TARGET, reports)
+                ok = pipeline._vet(train, pipeline._Orientation(h, cand, sigma), tcfg, theta, TARGET, reports)
                 bands = [r for r in reports if r.checks[0].name.startswith("band_mass")]
                 verdicts[h.coords.tobytes()] = (ok, [r.accepted for r in reports], bands)
         runs.append(verdicts)

@@ -208,7 +208,7 @@ def test_t1_custom_target_calibrated(monkeypatch):
 def test_t2_accepts_gaussian_and_reports_fraction():
     ds = gaussian_dataset(50_000, 4, seed=210)
     w = random_unit(4, np.random.default_rng(210))
-    rep = band_mass_tester(ds, w, 0.5, CFG, TARGET)
+    rep = band_mass_tester(ds, w, 0.5, TARGET)
     assert rep.accepted
     frac = next(c for c in rep.checks if c.name == "band_mass_fraction")
     assert frac.measured == pytest.approx(math.erf(0.5 / math.sqrt(2)), abs=0.01)
@@ -220,7 +220,7 @@ def test_t2_rejects_hyperplane_mass():
     rng = np.random.default_rng(211)
     X = np.column_stack([np.zeros(5000), rng.standard_normal(5000)])
     ds = LabeledDataset(X, np.ones(5000))
-    rep = band_mass_tester(ds, project_to_sphere([1.0, 0.0]), 0.5, CFG, TARGET)
+    rep = band_mass_tester(ds, project_to_sphere([1.0, 0.0]), 0.5, TARGET)
     assert not rep.accepted
 
 
@@ -228,7 +228,7 @@ def test_t2_rejects_empty_band():
     rng = np.random.default_rng(212)
     X = np.column_stack([10.0 + rng.random(5000), rng.standard_normal(5000)])
     ds = LabeledDataset(X, np.ones(5000))
-    rep = band_mass_tester(ds, project_to_sphere([1.0, 0.0]), 0.5, CFG, TARGET)
+    rep = band_mass_tester(ds, project_to_sphere([1.0, 0.0]), 0.5, TARGET)
     assert not rep.accepted
     assert next(c for c in rep.checks if c.name == "band_mass_fraction").measured == 0.0
 
@@ -239,8 +239,8 @@ def test_t2_verdict_permutation_invariant():
     perm = np.random.default_rng(2).permutation(ds.n)
     shuffled = LabeledDataset(ds.points[perm], ds.labels[perm])
     for sigma in (0.05, 0.5):
-        rep = band_mass_tester(ds, w, sigma, CFG, TARGET)
-        rep2 = band_mass_tester(shuffled, w, sigma, CFG, TARGET)
+        rep = band_mass_tester(ds, w, sigma, TARGET)
+        rep2 = band_mass_tester(shuffled, w, sigma, TARGET)
         assert rep.accepted == rep2.accepted
         assert [(c.name, c.measured, c.passed) for c in rep.checks] == [
             (c.name, c.measured, c.passed) for c in rep2.checks
@@ -285,7 +285,7 @@ def test_t3_insufficient_band_samples():
     assert [c.name for c in rep.checks] == ["band_mass_abs_error", "band_mass_fraction"]
     # about 70 of 300 Gaussian rows fall in the band: t2 passes, too few for t3
     ds = gaussian_dataset(300, 2, seed=222)
-    assert band_mass_tester(ds, w, 0.3, CFG, TARGET).accepted
+    assert band_mass_tester(ds, w, 0.3, TARGET).accepted
     with pytest.raises(InsufficientBandSamplesError):
         band_moment_tester(ds, w, 0.3, 0.5, CFG, TARGET)
 
@@ -485,7 +485,7 @@ def test_null_quantiles_identical_in_fresh_process(empty_oracle_cache):
 
 def test_t4_accepts_gaussian_single_seed():
     ds = gaussian_dataset(200_000, 4, seed=230)
-    rep = strip_tester(ds, random_unit(4, np.random.default_rng(230)), 0.1, CFG)
+    rep = strip_tester(ds, random_unit(4, np.random.default_rng(230)), 0.1)
     assert rep.accepted
     names = [c.name for c in rep.checks]
     assert "strip_mass_0" in names and "tail_mass" in names
@@ -495,7 +495,7 @@ def test_t4_rejects_hyperplane_concentration():
     rng = np.random.default_rng(231)
     X = np.column_stack([np.zeros(20_000), rng.standard_normal((20_000, 3))])
     ds = LabeledDataset(X, np.ones(20_000))
-    rep = strip_tester(ds, project_to_sphere([1.0, 0, 0, 0]), 0.1, CFG)
+    rep = strip_tester(ds, project_to_sphere([1.0, 0, 0, 0]), 0.1)
     assert not rep.accepted
     zero_strip = next(c for c in rep.checks if c.name == "strip_mass_0")
     assert zero_strip.measured == 1.0 and not zero_strip.passed
@@ -508,7 +508,7 @@ def test_t4_rejects_inflated_strip_covariance():
     theta = 0.1
     in_strip = (X @ w.coords >= 0.0) & (X @ w.coords < theta)
     X[np.ix_(in_strip, [1, 2, 3])] *= 2.0
-    rep = strip_tester(LabeledDataset(X, ds.labels), w, theta, CFG)
+    rep = strip_tester(LabeledDataset(X, ds.labels), w, theta)
     assert not rep.accepted
     cov0 = next(c for c in rep.checks if c.name == "strip_cov_0")
     assert cov0.measured == pytest.approx(3.0, abs=0.3)
@@ -522,8 +522,8 @@ def test_t4_verdict_permutation_invariant():
     X[np.ix_((X[:, 0] >= 0.0) & (X[:, 0] < 0.1), [1, 2, 3])] *= 2.0
     perm = np.random.default_rng(3).permutation(ds.n)
     for theta in (0.1, 0.5):
-        rep = strip_tester(LabeledDataset(X, ds.labels), w, theta, CFG)
-        rep2 = strip_tester(LabeledDataset(X[perm], ds.labels[perm]), w, theta, CFG)
+        rep = strip_tester(LabeledDataset(X, ds.labels), w, theta)
+        rep2 = strip_tester(LabeledDataset(X[perm], ds.labels[perm]), w, theta)
         assert rep.accepted == rep2.accepted
         assert [(c.name, c.passed) for c in rep.checks] == [(c.name, c.passed) for c in rep2.checks]
     assert not rep.accepted
@@ -542,7 +542,7 @@ def test_t4_strip_covariances_against_brute_force():
             if count >= testers._min_strip_count(4):
                 Z = (ds.points[idx == i] @ H)[:, 1:]
                 ref[f"strip_cov_{i}"] = operator_norm_symmetric(Z.T @ Z / count - np.eye(3))
-        got = {c.name: c.measured for c in strip_tester(ds, w, theta, CFG).checks if c.name.startswith("strip_cov")}
+        got = {c.name: c.measured for c in strip_tester(ds, w, theta).checks if c.name.startswith("strip_cov")}
         assert len(ref) >= 3 and got.keys() == ref.keys()
         # the same rows in the same order give the same bits; an unordered
         # grouping of a strip's rows would move the last digits
@@ -553,7 +553,7 @@ def test_t4_strip_covariances_against_brute_force():
 def test_t4_theta_range():
     ds = gaussian_dataset(100, 3, seed=233)
     with pytest.raises(ThetaOutOfRangeError):
-        strip_tester(ds, project_to_sphere([1.0, 0, 0]), 1.0, CFG)
+        strip_tester(ds, project_to_sphere([1.0, 0, 0]), 1.0)
 
 
 @pytest.mark.slow
@@ -566,7 +566,7 @@ def test_band_testers_reject_their_constructions_in_all_seeds():
         hyper = LabeledDataset(
             np.column_stack([np.zeros(5000), rng.standard_normal((5000, 2))]), np.ones(5000)
         )
-        t2_rejects += not band_mass_tester(hyper, w, 0.5, CFG, TARGET).accepted
+        t2_rejects += not band_mass_tester(hyper, w, 0.5, TARGET).accepted
 
         ds = gaussian_dataset(200_000, 3, seed=270 + s)
         X = ds.points.copy()

@@ -18,6 +18,8 @@ from .surrogate import SurrogateParams, empirical_surrogate_gradient, ramp_deriv
 
 _STREAM_INIT = 21
 _STREAM_BATCH = 22
+# Minibatches drawn and gathered per call, at most.
+_DRAW_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -91,15 +93,19 @@ def psgd_candidates(S: LabeledDataset, p: SurrogateParams, cfg: PsgdConfig) -> C
     if record(w) < cfg.grad_target:
         return _finish(cands, norms)
 
-    for t in range(1, cfg.max_iters + 1):
-        idx = rng.integers(0, n, size=b)
-        Xb = X[idx]
-        margins = Xb @ w
-        g = tangent_gradient(Xb, y[idx], w, margins, ramp_derivative(np.abs(margins), p))
-        w = w - cfg.step_size * g
-        w /= np.linalg.norm(w)
-        if t % cfg.record_every == 0:
-            if record(w) < cfg.grad_target:
+    half = p.sigma / 2.0
+    t = 0
+    while t < cfg.max_iters:
+        # one draw of k minibatches is the same stream as k draws of one
+        idx = rng.integers(0, n, size=(min(_DRAW_STEPS, cfg.max_iters - t), b))
+        for Xb, yb in zip(X[idx], y[idx]):
+            t += 1
+            margins = Xb @ w
+            u = np.abs(margins)
+            if (u <= half).any():  # else every slope is 0, and so is the step
+                w = w - cfg.step_size * tangent_gradient(Xb, yb, w, margins, ramp_derivative(u, p))
+            w /= np.linalg.norm(w)
+            if t % cfg.record_every == 0 and record(w) < cfg.grad_target:
                 return _finish(cands, norms)
 
     if not np.array_equal(cands[-1], w):

@@ -543,9 +543,10 @@ def test_unknown_tester_and_missing_file(tmp_path):
 _FRESH_CLI_PROBE = """
 import json, os, sys
 import halflearn.cli as cli
-imported = {m: m in sys.modules for m in ("numpy", "scipy")}
+imported = {m: m in sys.modules for m in ("numpy", "scipy", "orjson")}
 rc = cli.main(["eval", "--hypothesis", sys.argv[1], "--data", sys.argv[2], "--out", sys.argv[3]])
 print(json.dumps({"imported": imported, "rc": rc, "scipy_after": "scipy" in sys.modules,
+                  "orjson_after": "orjson" in sys.modules,
                   "env": {v: os.environ.get(v) for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                                          "MKL_NUM_THREADS")}}))
 """
@@ -562,10 +563,11 @@ def test_cli_import_is_light_and_pins_blas_threads(tmp_path):
                          capture_output=True, text=True, timeout=120, env=env)
     assert res.returncode == 0, res.stderr
     probe = json.loads(res.stdout)
-    assert probe["imported"] == {"numpy": False, "scipy": False}
+    assert probe["imported"] == {"numpy": False, "scipy": False, "orjson": False}
     assert probe["rc"] == 0
     assert probe["env"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     assert not probe["scipy_after"]
+    assert probe["orjson_after"]  # the CSV has no twin, so its rows were parsed
     assert json.loads((tmp_path / "e.json").read_text())["empirical_error"] == pytest.approx(1 / 3)
 
 
@@ -586,7 +588,7 @@ rcs = [
 scipy_after_gaussian = "scipy" in sys.modules
 rcs.append(cli.main(["test", "--tester", "t1", "--k", "2", "--data", tmp + "/train.csv", "--target", "tilt:0.5",
                      "--seed", "45", "--out", tmp + "/tilt.json"]))
-print(json.dumps({"rcs": rcs, "scipy_after_gaussian": scipy_after_gaussian,
+print(json.dumps({"rcs": rcs, "scipy_after_gaussian": scipy_after_gaussian, "orjson": "orjson" in sys.modules,
                   "scipy_after_tilt": "scipy" in sys.modules}))
 """
 
@@ -601,6 +603,7 @@ def test_gaussian_learn_and_t3_load_no_scipy(tmp_path):
     assert probe["rcs"] == [0, 0, 0, 0, 0], res.stderr
     assert not probe["scipy_after_gaussian"]
     assert probe["scipy_after_tilt"]
+    assert not probe["orjson"]  # gen's CSVs are read through their twins
     assert json.loads((tmp_path / "learn.json").read_text())["rejected"] is False
     assert len(json.loads((tmp_path / "t3.json").read_text())["checks"]) > 2  # t2 and then the moments
 

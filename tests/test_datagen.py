@@ -1,3 +1,5 @@
+import decimal
+import io
 import math
 import random
 import warnings
@@ -385,6 +387,7 @@ def _read_without_parsing(path, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(np, "loadtxt", no_parse)
+        m.setattr(datagen, "_parse_rows", no_parse)
         return read_dataset_csv(str(path))
 
 
@@ -489,6 +492,173 @@ def test_read_rejects_header_only_file_without_warning(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="empty.csv: no data rows"):
             read_dataset_csv(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the orjson row parser, value by value against np.loadtxt
+
+
+def _rows_of(fields, cols):
+    """The bytes of rows of cols fields each, the last row padded with 1s."""
+    fields = list(fields)
+    fields += ["1"] * (-len(fields) % cols)
+    return "".join(",".join(fields[i : i + cols]) + "\n" for i in range(0, len(fields), cols)).encode("ascii")
+
+
+def _loadtxt_rows(raw):
+    return np.loadtxt(io.StringIO(raw.decode("ascii")), delimiter=",", ndmin=2)
+
+
+def _assert_parses_like_loadtxt(raw, cols):
+    got = datagen._parse_rows(raw, cols)
+    assert got is not None, "declined rows in the documented syntax"
+    want = _loadtxt_rows(raw)
+    assert got.shape == want.shape
+    bad = np.flatnonzero(got.view(np.uint64).ravel() != want.view(np.uint64).ravel())
+    if bad.size:
+        fields = raw.replace(b"\n", b",").split(b",")
+        pytest.fail(f"{bad.size} values differ, first {fields[bad[0]]!r}: {got.flat[bad[0]]!r} != {want.flat[bad[0]]!r}")
+
+
+def _finite_bit_patterns(count, seed):
+    v = np.random.default_rng(seed).integers(0, 2**64, size=count, dtype=np.uint64).view(np.float64)
+    return v[np.isfinite(v)]
+
+
+@pytest.mark.parametrize("style", ["%.17g", "%.25e", "repr"])
+def test_parse_rows_reads_random_doubles_like_loadtxt(style):
+    fmt = repr if style == "repr" else style.__mod__
+    values = _finite_bit_patterns(20_000, seed=len(style))  # zero has probability 2**-63
+    _assert_parses_like_loadtxt(_rows_of(map(fmt, values.tolist()), 4), 4)
+
+
+def test_parse_rows_reads_the_writers_rows_like_loadtxt():
+    v = _finite_bit_patterns(20_000, seed=30)
+    v = v[: len(v) // 4 * 4].reshape(-1, 4)
+    y = np.where(np.random.default_rng(31).random(len(v)) < 0.5, -1.0, 1.0)
+    raw = csvtext.format_rows(np.column_stack([y, v]))
+    assert len(raw) > 4 * datagen._PARSE_CHUNK
+    _assert_parses_like_loadtxt(raw, 5)
+
+
+def _halfway_strings(count, seed):
+    """The exact decimal midpoint of each of count pairs of adjacent doubles,
+    subnormal to huge, and the midpoint moved a 40th digit up and down."""
+    out = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200  # every midpoint of doubles has fewer significant digits
+        for a in np.abs(_finite_bit_patterns(count, seed)).tolist():
+            b = float(np.nextafter(a, np.inf))
+            if math.isinf(b):
+                continue
+            mid = (decimal.Decimal(a) + decimal.Decimal(b)) / 2
+            nudge = decimal.Decimal(10) ** (mid.adjusted() - 40)
+            out += [str(mid), str(mid + nudge), str(mid - nudge)]
+    return out
+
+
+def test_parse_rows_reads_exact_halfway_points_like_loadtxt():
+    strings = _halfway_strings(3000, seed=32)
+    assert max(map(len, strings)) > 700  # subnormal midpoints carry hundreds of digits
+    _assert_parses_like_loadtxt(_rows_of(strings, 3), 3)
+
+
+def test_parse_rows_reads_long_digit_strings_like_loadtxt():
+    rng = random.Random(33)
+    strings = []
+    for _ in range(6000):
+        digits = "".join(rng.choice("0123456789") for _ in range(rng.choice((18, 19, 20, 25, 40, 120, 800))))
+        strings.append(f"{rng.choice(('', '-'))}{rng.randint(1, 9)}.{digits}e{rng.randint(-340, 300)}")
+    _assert_parses_like_loadtxt(_rows_of(strings, 3), 3)
+
+
+def test_parse_rows_reads_signed_zeros_and_wide_integers_like_loadtxt():
+    fields = ["-0.0", "-0e0", "0", "0.0", "-0.0e-5", "1e-400", "-1e-400", "9007199254740993", "-9007199254740993",
+              str(2**63 - 1), str(-(2**63)), str(-(2**63) - 1), str(2**64 - 1), str(2**64), str(2**64 + 1),
+              str(3**60), "-" + str(7**100), str(2**1023 + 2**970), "4.9e-324", "2.4703282292062328e-324",
+              "2.4703282292062327e-324", "1.7976931348623157e308", "1.7976931348623158e308", "1E5", "1e+05",
+              "1e-05", "-1", "1e-99999999999999999999", "-0e99999999999", "1" + "0" * 400 + "e-400"]
+    raw = _rows_of(fields, 3)
+    _assert_parses_like_loadtxt(raw, 3)
+    assert np.signbit(datagen._parse_rows(raw, 3).flat[:2]).all()
+
+
+_OUTSIDE_THE_SYNTAX = {
+    "bare_dot": "1,.5,2\n",
+    "trailing_dot": "1,1.,2\n",
+    "plus": "1,+1,2\n",
+    "leading_zero": "1,01,2\n",
+    "nan": "1,nan,2\n",
+    "inf": "1,inf,2\n",
+    "overflow": "1,1e400,2\n",
+    "true": "1,true,2\n",
+    "quoted": '1,"0.5",2\n',
+    "comment": "# note\n1,0.5,2\n",
+    "blank_line": "1,0.5,2\n\n-1,0.25,3\n",
+    "crlf": "1,0.5,2\r\n-1,0.25,3\r\n",
+    "space_before": "1, 0.5,2\n",
+    "space_after": "1,0.5 ,2\n",
+    "tab": "1,\t0.5,2\n",
+    "no_final_newline": "1,0.5,2",
+    "integer_minus_zero": "1,-0,2\n",
+    "ragged_rows_that_cancel": "1,0.5,2,7\n-1,0.25\n",
+    "ragged_rows": "1,0.5,2,7\n-1,0.25,3,8\n",
+    "no_rows": "",
+}
+
+
+def _read_or_error(path):
+    try:
+        return read_dataset_csv(str(path))
+    except Exception as exc:  # the error is what the caller compares
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("rows", list(_OUTSIDE_THE_SYNTAX.values()), ids=list(_OUTSIDE_THE_SYNTAX))
+def test_rows_outside_the_syntax_read_as_loadtxt_reads_them(tmp_path, monkeypatch, rows):
+    assert datagen._parse_rows(rows.encode("ascii"), 3) is None
+    path = tmp_path / "odd.csv"
+    path.write_bytes(b"y,x1,x2\n" + rows.encode("ascii"))
+    got = _read_or_error(path)
+    monkeypatch.setattr(datagen, "_parse_rows", lambda raw, cols: None)
+    want = _read_or_error(path)
+    if isinstance(want, LabeledDataset):
+        _assert_same_bits(got, want)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("bad_row", [b"1,-0,2,3\n", b"1,0.5,2\n", b"1, 0.5,2,3\n", b"1,true,2,3\n"])
+def test_a_bad_row_past_the_first_chunk_declines_the_whole_parse(bad_row):
+    good = csvtext.format_rows(np.random.default_rng(34).standard_normal((3000, 4)))
+    assert len(good) > 2 * datagen._PARSE_CHUNK
+    assert datagen._parse_rows(good + good, 4) is not None
+    assert datagen._parse_rows(good + bad_row + good, 4) is None
+
+
+def _write_repr_csv(S, path):
+    """A CSV as repr() prints its values, the way scripts other than gen write one."""
+    rows = [f"{int(yi)}," + ",".join(map(repr, xi)) for yi, xi in zip(S.labels.tolist(), S.points.tolist())]
+    path.write_text(datagen._csv_header(S.d) + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+
+
+def test_gen_and_repr_csvs_are_parsed_without_loadtxt(tmp_path, monkeypatch):
+    X = sample_marginal(MarginalSpec("student_t", 4, dof=3.0), 5000, RngSeed(35))
+    S = apply_noise(X, NoiseSpec("agnostic_random", project_to_sphere([1.0, 1.0, 0.0, 0.0]), opt=0.1), RngSeed(36))
+    gen_path, repr_path = tmp_path / "gen.csv", tmp_path / "repr.csv"
+    write_dataset_csv(S, str(gen_path))
+    (tmp_path / "gen.csv.twin").unlink()
+    _write_repr_csv(S, repr_path)
+    for path in (gen_path, repr_path):
+        assert len(path.read_bytes()) > 4 * datagen._PARSE_CHUNK
+        with monkeypatch.context() as m:
+            m.setattr(np, "loadtxt", lambda *a, **k: pytest.fail("np.loadtxt ran"))
+            fast = read_dataset_csv(str(path))
+        with monkeypatch.context() as m:
+            m.setattr(datagen, "_parse_rows", lambda raw, cols: None)
+            slow = read_dataset_csv(str(path))
+        _assert_same_bits(fast, slow)
+        _assert_same_bits(fast, S)
 
 
 def test_spec_validation():

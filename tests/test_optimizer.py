@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from halflearn.core import LabeledDataset, RngSeed, angle_between, project_to_sphere
+from halflearn.core import LabeledDataset, RngSeed, UnitVector, angle_between, project_to_sphere
 from halflearn.datagen import MarginalSpec, NoiseSpec, apply_noise, sample_marginal
 from halflearn.errors import EmptyDatasetError, NonPositiveStepError
 from halflearn.optimizer import (
@@ -13,7 +13,7 @@ from halflearn.optimizer import (
     initial_direction,
     psgd_candidates,
 )
-from halflearn.surrogate import SurrogateParams, empirical_surrogate_gradient
+from halflearn.surrogate import SurrogateParams, empirical_surrogate_gradient, ramp_derivative, tangent_gradient
 
 
 def _cfg(**kw):
@@ -64,6 +64,53 @@ def test_psgd_step_is_the_surrogate_gradient_of_its_minibatch():
     assert np.linalg.norm(g) > 0.01
     w1 = w0.coords - 0.3 * g
     assert np.array_equal(out.candidates[1].coords, w1 / np.linalg.norm(w1))
+
+
+def _per_step_psgd(S, p, cfg):
+    """PSGD as one draw, one gather and one gradient per step: the stream and
+    arithmetic psgd_candidates must reproduce.  Returns the recorded iterates,
+    their norms and how many steps had an in-band row."""
+    X, y = S.points, S.labels
+    w = initial_direction(S.d, cfg.seed).coords.copy()
+    rng = cfg.seed.generator(_STREAM_BATCH)
+    cands, norms, stepped = [w.copy()], [full_gradient_norm(S, initial_direction(S.d, cfg.seed), p)], 0
+    for t in range(1, cfg.max_iters + 1):
+        idx = rng.integers(0, S.n, size=cfg.batch_size)
+        Xb = X[idx]
+        margins = Xb @ w
+        stepped += bool(np.any(np.abs(margins) <= p.sigma / 2.0))
+        w = w - cfg.step_size * tangent_gradient(Xb, y[idx], w, margins, ramp_derivative(np.abs(margins), p))
+        w /= np.linalg.norm(w)
+        if t % cfg.record_every == 0:
+            cands.append(w.copy())
+            norms.append(full_gradient_norm(S, UnitVector(w), p))
+    if not np.array_equal(cands[-1], w):
+        cands.append(w.copy())
+        norms.append(full_gradient_norm(S, UnitVector(w), p))
+    return cands, norms, stepped
+
+
+@pytest.mark.parametrize("d, batch, max_iters, record_every", [
+    (4, 256, 1100, 137),  # the learners' batch; blocks of 256, 256, 256, 256 and 76 steps
+    (3, 37, 600, 90),     # an odd batch and an odd dimension
+    (5, 1, 257, 256),     # one row per step, one step past a block
+])
+def test_psgd_matches_the_per_step_loop(d, batch, max_iters, record_every):
+    # psgd_candidates draws up to 256 minibatches at once and skips the
+    # gradient of a minibatch with no row in the band; neither changes a bit
+    rng = np.random.default_rng(d)
+    X = rng.standard_normal((3000, d))
+    y = np.where(X[:, 0] + 0.2 * rng.standard_normal(3000) >= 0.0, 1.0, -1.0)
+    S, p = LabeledDataset(X, y), SurrogateParams(0.02)
+    cfg = _cfg(step_size=0.05, batch_size=batch, max_iters=max_iters, record_every=record_every,
+               grad_target=1e-300, seed=RngSeed(100 + d))
+    cands, norms, stepped = _per_step_psgd(S, p, cfg)
+    assert 0 < stepped < max_iters  # both kinds of step occur
+    out = psgd_candidates(S, p, cfg)
+    assert len(out.candidates) == len(cands)
+    for got, want in zip(out.candidates, cands):
+        assert np.array_equal(got.coords.view(np.uint64), want.view(np.uint64))
+    assert list(out.grad_norms) == norms
 
 
 def test_full_gradient_norm_examples():
